@@ -53,9 +53,11 @@ class BooleVector:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ShapeMismatchError("n must be nonnegative")
-        if len(self.entries) != 1 << self.n:
+        # Bit lengths first: 2**n for an absurd n would exhaust memory.
+        length = len(self.entries)
+        if length.bit_length() != self.n + 1 or length != 1 << self.n:
             raise ShapeMismatchError(
-                f"need {1 << self.n} entries for n = {self.n}, got {len(self.entries)}"
+                f"need 2**{self.n} entries for n = {self.n}, got {length}"
             )
         if self.interpretation == ATOMS:
             total = ZERO

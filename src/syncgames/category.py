@@ -136,15 +136,7 @@ def deterministic_function(p: Correlation) -> Optional[tuple[int, ...]]:
     own input, or None.
     """
     pair = is_deterministic(p)
-    if pair is None:
-        return None
-    nx = p.input_set.size
-    f = [pair.f_a[i][0] for i in range(nx)]
-    for i in range(nx):
-        for j in range(nx):
-            if pair.f_a[i][j] != f[i] or pair.f_b[i][j] != f[j]:
-                return None
-    return tuple(f)
+    return None if pair is None else pair.shared_function()
 
 
 def classical_decomposition(p: Correlation) -> Optional[ClassicalModel]:

@@ -11,7 +11,9 @@ reported as a single JSON line on stderr.
 
 ``classify``, ``witness`` and ``construct random`` refuse sets larger
 than the size guard (default 6, flag ``--max-size``, env var
-``SYNCGAMES_MAX_SIZE``) because witness search enumerates hom-sets.
+``SYNCGAMES_MAX_SIZE``).  Deciding HV membership solves a linear program
+with one column per function ``X -> Y``, ``|Y| ** |X|`` of them, and a
+random classical model draws one weight per such function.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .boole import (
     triple_bounds,
     triple_inequalities,
 )
-from .category import classify, compose, deterministic_function, is_deterministic
+from .category import compose
 from .constructors import (
     RANDOM_KINDS,
     classical_model_from_json_dict,
@@ -55,9 +57,10 @@ from .corrcore import (
     FiniteSet,
     PairDistribution,
     PairWeights,
-    as_rational,
     deserialize,
     format_rational,
+    parse_labels,
+    parse_rational,
     serialize,
     to_json_dict,
 )
@@ -69,11 +72,16 @@ from .errors import (
 )
 from .morphology import (
     CategoryTag,
+    analyze,
     epi_witness,
+    is_bimorphism,
+    is_epimorphism,
+    is_isomorphism,
     is_member,
-    left_nullspace_basis,
+    is_monomorphism,
+    is_retraction,
+    is_section,
     mono_witness,
-    right_nullspace_basis,
     witness_to_json_dict,
 )
 
@@ -124,16 +132,14 @@ def _parse_labels(text: str, option: str) -> FiniteSet:
     labels = tuple(part.strip() for part in text.split(","))
     if any(not label for label in labels):
         raise ParseError(option, "labels must be nonempty, comma separated")
-    return FiniteSet(labels)
+    return parse_labels(labels, option)
 
 
 def _load_labeled_matrix(path: str) -> tuple[FiniteSet, tuple[tuple, ...]]:
     data = _read_json(path)
     if not isinstance(data, dict):
         raise ParseError(path, "expected a JSON object")
-    labels = data.get("labels")
-    if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-        raise ParseError("labels", "expected a list of strings")
+    labels = parse_labels(data.get("labels"), "labels")
     raw = data.get("entries")
     if not isinstance(raw, list):
         raise ParseError("entries", "expected a list of rows")
@@ -141,14 +147,10 @@ def _load_labeled_matrix(path: str) -> tuple[FiniteSet, tuple[tuple, ...]]:
     for i, raw_row in enumerate(raw):
         if not isinstance(raw_row, list):
             raise ParseError(f"entries[{i}]", "expected a list")
-        row = []
-        for j, cell in enumerate(raw_row):
-            try:
-                row.append(as_rational(cell))
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise ParseError(f"entries[{i}][{j}]", str(exc)) from None
-        rows.append(tuple(row))
-    return FiniteSet(tuple(labels)), tuple(rows)
+        rows.append(
+            tuple(parse_rational(cell, f"entries[{i}][{j}]") for j, cell in enumerate(raw_row))
+        )
+    return labels, tuple(rows)
 
 
 def _load_pair_distribution(path: str) -> PairDistribution:
@@ -174,12 +176,7 @@ def _load_boole_vector(path: str) -> BooleVector:
     raw = data.get("entries")
     if not isinstance(raw, list):
         raise ParseError("entries", "expected a list")
-    entries = []
-    for j, cell in enumerate(raw):
-        try:
-            entries.append(as_rational(cell))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ParseError(f"entries[{j}]", str(exc)) from None
+    entries = [parse_rational(cell, f"entries[{j}]") for j, cell in enumerate(raw)]
     return boole_vector(n, interpretation, entries)
 
 
@@ -203,8 +200,8 @@ def _guard_limit(args) -> int:
         limit = args.max_size
     if limit > GUARD_DEFAULT:
         print(
-            f"warning: size guard raised to {limit}; "
-            "witness search enumerates hom-sets and may be slow",
+            f"warning: size guard raised to {limit}; the HV linear program "
+            "has |Y|**|X| columns and may be slow",
             file=sys.stderr,
         )
     return limit
@@ -222,83 +219,14 @@ def _check_guard(limit: int, *sizes: int) -> None:
 # classify
 # ---------------------------------------------------------------------------
 
-_REPORT_PROPERTIES = (
-    "section",
-    "retraction",
-    "monomorphism",
-    "epimorphism",
-    "bimorphism",
-    "isomorphism",
-)
-
-
-def _build_report(p: Correlation) -> dict:
-    label = classify(p)
-    classical = label.classical is not None
-    report = {
-        "input_set": list(p.input_set.labels),
-        "output_set": list(p.output_set.labels),
-        "synchronous": label.synchronous,
-        "nonsignaling": label.nonsignaling,
-        "symmetric": label.symmetric,
-        "deterministic": label.deterministic is not None,
-        "classical": classical,
-        "categories": {},
-    }
-    members = {
-        "S": label.synchronous,
-        "NS": label.synchronous and label.nonsignaling,
-        "Q": label.synchronous and label.nonsignaling and label.symmetric,
-        "HV": label.synchronous
-        and label.nonsignaling
-        and label.symmetric
-        and classical,
-    }
-    if not any(members.values()):
-        report["categories"] = {tag: {"member": False} for tag in members}
-        return report
-
-    mono = not right_nullspace_basis(p)
-    epi = not left_nullspace_basis(p)
-    square = p.input_set.size == p.output_set.size
-    bimorphism = square and mono and epi
-    function = deterministic_function(p)
-    isomorphism = (
-        square and function is not None and len(set(function)) == p.input_set.size
-    )
-    pair = is_deterministic(p)
-    nx = p.input_set.size
-    ny = p.output_set.size
-    section_s = retraction_s = False
-    if pair is not None:
-        images = [pair.image_pair(i, j) for i in range(nx) for j in range(nx)]
-        injective = len(set(images)) == nx * nx
-        off_diagonal_safe = all(
-            pair.f_a[i][j] != pair.f_b[i][j]
-            for i in range(nx)
-            for j in range(nx)
-            if i != j
-        )
-        section_s = injective and off_diagonal_safe
-        diagonal = {pair.f_a[i][i] for i in range(nx)}
-        retraction_s = len(set(images)) == ny * ny and len(diagonal) == ny
-    section_fn = function is not None and len(set(function)) == nx
-    retraction_fn = function is not None and len(set(function)) == ny
-
-    for tag, member in members.items():
-        if not member:
-            report["categories"][tag] = {"member": False}
-            continue
-        report["categories"][tag] = {
-            "member": True,
-            "section": section_s if tag == "S" else section_fn,
-            "retraction": retraction_s if tag == "S" else retraction_fn,
-            "monomorphism": mono,
-            "epimorphism": epi,
-            "bimorphism": bimorphism,
-            "isomorphism": isomorphism,
-        }
-    return report
+_REPORT_PROPERTIES = {
+    "section": is_section,
+    "retraction": is_retraction,
+    "monomorphism": is_monomorphism,
+    "epimorphism": is_epimorphism,
+    "bimorphism": is_bimorphism,
+    "isomorphism": is_isomorphism,
+}
 
 
 def _report_table(report: dict) -> str:
@@ -326,23 +254,38 @@ def _cmd_classify(args) -> int:
     limit = _guard_limit(args)
     p = _load_correlation(args.path)
     _check_guard(limit, p.input_set.size, p.output_set.size)
-    report = _build_report(p)
-    if args.emit_witnesses is not None:
-        os.makedirs(args.emit_witnesses, exist_ok=True)
-        paths = {}
-        for tag in ("S", "NS", "Q", "HV"):
-            if not report["categories"][tag]["member"]:
-                continue
-            for side, finder in (("mono", mono_witness), ("epi", epi_witness)):
-                if report["categories"][tag][
-                    "monomorphism" if side == "mono" else "epimorphism"
-                ]:
-                    continue
-                witness = finder(p, tag)
-                path = os.path.join(args.emit_witnesses, f"{side}_{tag}.json")
-                _write_output(path, _dump(witness_to_json_dict(witness)))
-                paths[f"{side}_{tag}"] = path
-        report["witnesses"] = paths
+    emit = args.emit_witnesses
+    if emit is not None:
+        os.makedirs(emit, exist_ok=True)
+    a = analyze(p)
+    categories = {}
+    witnesses = {}
+    for tag in CategoryTag:
+        row = categories[tag.value] = {"member": is_member(a, tag)}
+        if not row["member"]:
+            continue
+        for name, decide in _REPORT_PROPERTIES.items():
+            row[name] = decide(a, tag)
+        if emit is None:
+            continue
+        for side, finder in (("mono", mono_witness), ("epi", epi_witness)):
+            witness = finder(a, tag)
+            if witness is not None:
+                key = f"{side}_{tag.value}"
+                witnesses[key] = os.path.join(emit, f"{key}.json")
+                _write_output(witnesses[key], _dump(witness_to_json_dict(witness)))
+    report = {
+        "input_set": list(p.input_set.labels),
+        "output_set": list(p.output_set.labels),
+        "synchronous": a.synchronous,
+        "nonsignaling": a.nonsignaling,
+        "symmetric": a.symmetric,
+        "deterministic": a.deterministic is not None,
+        "classical": a.classical is not None,
+        "categories": categories,
+    }
+    if emit is not None:
+        report["witnesses"] = witnesses
     if args.format == "table":
         sys.stdout.write(_report_table(report))
     else:
@@ -412,10 +355,8 @@ def _cmd_construct_pair(args) -> int:
     for key in ("input_set", "output_set", "f_a", "f_b"):
         if key not in data:
             raise ParseError(key, "missing field")
-    input_labels = data["input_set"]
-    output_labels = data["output_set"]
-    if not isinstance(input_labels, list) or not isinstance(output_labels, list):
-        raise ParseError("input_set", "expected label lists")
+    input_set = parse_labels(data["input_set"], "input_set")
+    output_set = parse_labels(data["output_set"], "output_set")
 
     def table(key: str) -> tuple[tuple[int, ...], ...]:
         raw = data[key]
@@ -424,8 +365,8 @@ def _cmd_construct_pair(args) -> int:
         return tuple(tuple(v for v in row) for row in raw)
 
     pair = DeterministicPair(
-        FiniteSet(tuple(input_labels)),
-        FiniteSet(tuple(output_labels)),
+        input_set,
+        output_set,
         table("f_a"),
         table("f_b"),
     )
@@ -514,11 +455,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_boole_pair_bounds(args) -> int:
-    try:
-        a = as_rational(args.a)
-        b = as_rational(args.b)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ParseError("--a/--b", str(exc)) from None
+    a = parse_rational(args.a, "--a")
+    b = parse_rational(args.b, "--b")
     lower, upper = pair_bounds(a, b)
     sys.stdout.write(
         _dump({"lower": format_rational(lower), "upper": format_rational(upper)})

@@ -36,6 +36,8 @@ from .corrcore import (
     as_rational,
     format_rational,
     make_correlation,
+    parse_labels,
+    parse_rational,
 )
 from .errors import (
     ConditionViolatedError,
@@ -195,13 +197,17 @@ def _function_key_text(key: tuple[int, ...]) -> str:
 
 
 def _parse_function_key(text: str) -> tuple[int, ...]:
+    location = f"mu[{text!r}]"
     stripped = text.strip()
     if not (stripped.startswith("(") and stripped.endswith(")")):
-        raise ValueError(f"function key {text!r} must look like '(0,1)'")
+        raise ParseError(location, f"function key {text!r} must look like '(0,1)'")
     inner = stripped[1:-1].strip()
     if not inner:
-        raise ValueError(f"function key {text!r} is empty")
-    return tuple(int(part.strip()) for part in inner.split(","))
+        raise ParseError(location, f"function key {text!r} is empty")
+    try:
+        return tuple(int(part.strip()) for part in inner.split(","))
+    except ValueError as exc:
+        raise ParseError(location, str(exc)) from None
 
 
 def classical_model_to_json_dict(model: ClassicalModel) -> dict:
@@ -213,22 +219,19 @@ def classical_model_to_json_dict(model: ClassicalModel) -> dict:
 
 
 def classical_model_from_json_dict(data: Mapping) -> ClassicalModel:
-    from .corrcore import _expect_label_list  # same parsing conventions
-
     if not isinstance(data, Mapping):
         raise ParseError("<root>", "expected a JSON object")
-    input_set = _expect_label_list(data, "input_set")
-    output_set = _expect_label_list(data, "output_set")
+    input_set = parse_labels(data.get("input_set"), "input_set")
+    output_set = parse_labels(data.get("output_set"), "output_set")
     raw = data.get("mu")
     if not isinstance(raw, Mapping):
         raise ParseError("mu", "expected an object mapping function keys to rationals")
     mu = {}
     for key_text, value in raw.items():
-        try:
-            key = _parse_function_key(key_text)
-            mu[key] = as_rational(value)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ParseError(f"mu[{key_text!r}]", str(exc)) from None
+        key = _parse_function_key(key_text)
+        if key in mu:
+            raise ParseError(f"mu[{key_text!r}]", f"duplicate function key {key!r}")
+        mu[key] = parse_rational(value, f"mu[{key_text!r}]")
     return classical_model(input_set, output_set, mu)
 
 
@@ -409,52 +412,6 @@ def from_quantum_model(model: QuantumModel) -> Correlation:
     return make_correlation(input_set, output_set, matrix)
 
 
-def compose_quantum_models(outer: QuantumModel, inner: QuantumModel) -> Correlation:
-    """Correlation of the chained strategy on the tensor product space.
-
-    For ``inner`` on inputs ``X`` with outputs ``Y`` and ``outer`` on
-    inputs ``Y`` with outputs ``Z``, the product operators
-
-        E[x][z] = sum over y of  kron(inner.pvm[x][y], outer.pvm[y][z])
-
-    sum to the identity for each ``x`` and are Hermitian and positive, but
-    need not be projections, so they are evaluated directly in the
-    normalized trace without any projection validation.
-    """
-    if outer.input_set != inner.output_set:
-        raise SetMismatchError(
-            "outer model must consume the inner model's output set"
-        )
-    validate_quantum_model(inner)
-    validate_quantum_model(outer)
-    input_set = inner.input_set
-    output_set = outer.output_set
-    dim = Fraction(inner.dimension * outer.dimension)
-    effects: list[list[GaussianMatrix]] = []
-    for x in range(input_set.size):
-        row = []
-        for z in range(output_set.size):
-            total = None
-            for y in range(inner.output_set.size):
-                term = gr_kron(inner.pvm[x][y], outer.pvm[y][z])
-                total = term if total is None else gr_add(total, term)
-            row.append(total)
-        effects.append(row)
-    rows = output_set.pair_count
-    cols = input_set.pair_count
-    matrix = [[ZERO] * cols for _ in range(rows)]
-    for xa, xb in input_set.pairs():
-        c = input_set.pair_index(xa, xb)
-        for za, zb in output_set.pairs():
-            value = gr_trace_product(effects[xa][za], effects[xb][zb])
-            if value.imag != 0:
-                raise ShapeMismatchError(
-                    "trace of a product of Hermitian operators must be real"
-                )
-            matrix[output_set.pair_index(za, zb)][c] = value.real / dim
-    return make_correlation(input_set, output_set, matrix)
-
-
 def quantum_model_to_json_dict(model: QuantumModel) -> dict:
     def entry(v: GaussianRational) -> list[str]:
         return [format_rational(v.real), format_rational(v.imag)]
@@ -474,14 +431,12 @@ def quantum_model_to_json_dict(model: QuantumModel) -> dict:
 
 
 def quantum_model_from_json_dict(data: Mapping) -> QuantumModel:
-    from .corrcore import _expect_label_list
-
     if not isinstance(data, Mapping):
         raise ParseError("<root>", "expected a JSON object")
-    input_set = _expect_label_list(data, "input_set")
-    output_set = _expect_label_list(data, "output_set")
+    input_set = parse_labels(data.get("input_set"), "input_set")
+    output_set = parse_labels(data.get("output_set"), "output_set")
     d = data.get("d")
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ParseError("d", "expected a positive integer dimension")
     raw = data.get("pvm")
     if not isinstance(raw, Mapping):
@@ -510,10 +465,8 @@ def quantum_model_from_json_dict(data: Mapping) -> QuantumModel:
                         raise ParseError(
                             f"{location}[{r}][{c}]", "expected a [real, imag] pair"
                         )
-                    try:
-                        row.append(GaussianRational(as_rational(cell[0]), as_rational(cell[1])))
-                    except (ValueError, ZeroDivisionError, TypeError) as exc:
-                        raise ParseError(f"{location}[{r}][{c}]", str(exc)) from None
+                    real, imag = (parse_rational(v, f"{location}[{r}][{c}]") for v in cell)
+                    row.append(GaussianRational(real, imag))
                 rows.append(tuple(row))
             family.append(tuple(rows))
         families.append(tuple(family))

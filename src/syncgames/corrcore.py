@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ColumnSumNotOneError,
@@ -48,6 +48,14 @@ def as_rational(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"cannot interpret {value!r} as an exact rational")
     return Fraction(value)
+
+
+def parse_rational(value, location: str) -> Fraction:
+    """:func:`as_rational` for outside input: failures raise :class:`ParseError`."""
+    try:
+        return as_rational(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ParseError(location, str(exc)) from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -112,6 +120,16 @@ class FiniteSet:
 
 def finite_set(labels: Sequence[str]) -> FiniteSet:
     return FiniteSet(tuple(labels))
+
+
+def parse_labels(value, location: str) -> FiniteSet:
+    """A :class:`FiniteSet` from an outside list of labels, else :class:`ParseError`."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(s, str) for s in value):
+        raise ParseError(location, "expected a list of strings")
+    try:
+        return FiniteSet(tuple(value))
+    except ValueError as exc:
+        raise ParseError(location, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -343,6 +361,16 @@ class DeterministicPair:
     def is_synchronous(self) -> bool:
         return all(self.f_a[i][i] == self.f_b[i][i] for i in range(self.input_set.size))
 
+    def shared_function(self) -> Optional[tuple[int, ...]]:
+        """Output indices of ``f`` when both players answer ``f`` of their own input."""
+        n = self.input_set.size
+        f = tuple(self.f_a[i][0] for i in range(n))
+        for i in range(n):
+            for j in range(n):
+                if self.f_a[i][j] != f[i] or self.f_b[i][j] != f[j]:
+                    return None
+        return f
+
 
 # ---------------------------------------------------------------------------
 # JSON serialization.
@@ -362,33 +390,18 @@ def serialize(p: Correlation) -> str:
     return json.dumps(to_json_dict(p), indent=1)
 
 
-def _expect_label_list(data: Mapping, key: str) -> FiniteSet:
-    value = data.get(key)
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        raise ParseError(key, "expected a list of strings")
-    try:
-        return FiniteSet(tuple(value))
-    except ValueError as exc:
-        raise ParseError(key, str(exc)) from None
-
-
 def from_json_dict(data: Mapping) -> Correlation:
     if not isinstance(data, Mapping):
         raise ParseError("<root>", "expected a JSON object")
-    input_set = _expect_label_list(data, "input_set")
-    output_set = _expect_label_list(data, "output_set")
+    input_set = parse_labels(data.get("input_set"), "input_set")
+    output_set = parse_labels(data.get("output_set"), "output_set")
     entries = data.get("entries")
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise ParseError("entries", "expected a list of lists of rational strings")
-    parsed_rows = []
-    for r, row in enumerate(entries):
-        parsed = []
-        for c, cell in enumerate(row):
-            try:
-                parsed.append(as_rational(cell))
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise ParseError(f"entries[{r}][{c}]", str(exc)) from None
-        parsed_rows.append(parsed)
+    parsed_rows = [
+        [parse_rational(cell, f"entries[{r}][{c}]") for c, cell in enumerate(row)]
+        for r, row in enumerate(entries)
+    ]
     return make_correlation(input_set, output_set, parsed_rows)
 
 

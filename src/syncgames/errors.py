@@ -137,10 +137,6 @@ class NotARetractionError(SyncGamesError):
     """A right inverse was requested for a correlation that is not a retraction."""
 
 
-class SymmetryRequiredError(SyncGamesError):
-    """A witness construction needs a symmetric correlation but got an asymmetric one."""
-
-
 class UnsupportedShapeError(SyncGamesError):
     """The requested construction is only defined for other set sizes."""
 

@@ -18,6 +18,10 @@ adds nonsignaling, ``Q`` adds symmetry, and ``HV`` asks for an exact
 classical decomposition.  ``Q`` deliberately accepts every symmetric
 synchronous nonsignaling correlation: quantum-constructed inputs satisfy
 these and the tag does not attempt to decide quantum realizability.
+
+Every decider reads its facts from one :class:`Analysis` of the
+correlation; pass the result of :func:`analyze` instead of the
+correlation to share those facts between several questions.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .category import (
     classical_decomposition,
     compose,
-    deterministic_function,
     is_deterministic,
     is_nonsignaling,
     is_symmetric,
@@ -60,9 +64,10 @@ from .corrcore import (
     KernelVector,
     PairDistribution,
     PairWeights,
-    as_rational,
     format_rational,
     from_json_dict as correlation_from_json_dict,
+    parse_labels,
+    parse_rational,
     to_json_dict as correlation_to_json_dict,
 )
 from .errors import (
@@ -70,7 +75,6 @@ from .errors import (
     NotASectionError,
     NotInCategoryError,
     ParseError,
-    SymmetryRequiredError,
 )
 
 
@@ -92,25 +96,85 @@ def _coerce_tag(cat) -> CategoryTag:
         raise ValueError(f"unknown category {cat!r}; expected S, NS, Q or HV") from None
 
 
-def is_member(p: Correlation, cat) -> bool:
+@dataclass(frozen=True)
+class Analysis:
+    """The facts the deciders below read about one correlation ``p``.
+
+    Each fact is computed on first use and then kept, so a view that needs
+    only synchronicity runs no linear program and no elimination, and
+    several views of one analysis share every computation.  ``classical``
+    holds the exact model of the single HV linear program; it is None
+    without solving anything unless ``p`` lies in ``Q``, because every
+    mixture of shared functions is nonsignaling and symmetric.
+    """
+
+    p: Correlation
+
+    @cached_property
+    def synchronous(self) -> bool:
+        return is_synchronous(self.p)
+
+    @cached_property
+    def nonsignaling(self) -> bool:
+        return is_nonsignaling(self.p)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        return is_symmetric(self.p)
+
+    @cached_property
+    def classical(self) -> Optional[ClassicalModel]:
+        return classical_decomposition(self.p) if is_member(self, CategoryTag.Q) else None
+
+    @cached_property
+    def deterministic(self) -> Optional[DeterministicPair]:
+        return is_deterministic(self.p)
+
+    @cached_property
+    def function(self) -> Optional[tuple[int, ...]]:
+        """The shared one-variable strategy ``p`` is, if it is one."""
+        pair = self.deterministic
+        return None if pair is None else pair.shared_function()
+
+    @cached_property
+    def right_kernel(self) -> list[KernelVector]:
+        return right_nullspace_basis(self.p)
+
+    @cached_property
+    def left_kernel(self) -> list[KernelVector]:
+        return left_nullspace_basis(self.p)
+
+
+def analyze(p) -> Analysis:
+    """The lazy :class:`Analysis` of a correlation.
+
+    Every decider and witness builder in this module takes either a
+    correlation or its analysis; an analysis is returned unchanged, so
+    passing one to several of them computes each fact once.
+    """
+    return p if isinstance(p, Analysis) else Analysis(p)
+
+
+def is_member(p, cat) -> bool:
     """Exact membership of ``p`` in the hom-set of the tagged category."""
+    a = analyze(p)
     tag = _coerce_tag(cat)
-    if not is_synchronous(p):
+    if not a.synchronous:
         return False
     if tag is CategoryTag.S:
         return True
-    if not is_nonsignaling(p):
+    if not a.nonsignaling:
         return False
     if tag is CategoryTag.NS:
         return True
-    if not is_symmetric(p):
+    if not a.symmetric:
         return False
     if tag is CategoryTag.Q:
         return True
-    return classical_decomposition(p) is not None
+    return a.classical is not None
 
 
-def require_member(p: Correlation, cat) -> CategoryTag:
+def require_member(p, cat) -> CategoryTag:
     tag = _coerce_tag(cat)
     if not is_member(p, tag):
         raise NotInCategoryError(tag.value)
@@ -184,31 +248,27 @@ def left_nullspace_basis(p: Correlation) -> list[KernelVector]:
     ]
 
 
-def _matrix_rank(p: Correlation) -> int:
-    rows = [list(row) for row in p.matrix]
-    _, pivots = _rref(rows, p.column_count)
-    return len(pivots)
-
-
 # ---------------------------------------------------------------------------
 # Monomorphisms and epimorphisms.
 # ---------------------------------------------------------------------------
 
 
-def is_monomorphism(p: Correlation, cat) -> bool:
+def is_monomorphism(p, cat) -> bool:
     """Left cancellable in the tagged category: zero right nullspace.
 
     The criterion does not depend on the tag; the tag only scopes the
     membership precondition.
     """
-    require_member(p, cat)
-    return not right_nullspace_basis(p)
+    a = analyze(p)
+    require_member(a, cat)
+    return not a.right_kernel
 
 
-def is_epimorphism(p: Correlation, cat) -> bool:
+def is_epimorphism(p, cat) -> bool:
     """Right cancellable in the tagged category: zero left nullspace."""
-    require_member(p, cat)
-    return not left_nullspace_basis(p)
+    a = analyze(p)
+    require_member(a, cat)
+    return not a.left_kernel
 
 
 @dataclass(frozen=True)
@@ -283,7 +343,7 @@ def _verify_witness(p: Correlation, witness: WitnessPair) -> None:
             raise AssertionError("witness must be symmetric")
 
 
-def mono_witness(p: Correlation, cat) -> Optional[WitnessPair]:
+def mono_witness(p, cat) -> Optional[WitnessPair]:
     """A category-internal mono failure certificate, or None if mono.
 
     Takes the first canonical right nullspace vector ``u``, normalizes its
@@ -292,8 +352,10 @@ def mono_witness(p: Correlation, cat) -> Optional[WitnessPair]:
     columns), and turns the two sign parts into two correlations from the
     two-point set into ``X`` whose compositions with ``p`` agree.
     """
-    tag = require_member(p, cat)
-    basis = right_nullspace_basis(p)
+    a = analyze(p)
+    tag = require_member(a, cat)
+    p = a.p
+    basis = a.right_kernel
     if not basis:
         return None
     raw = basis[0].entries
@@ -347,10 +409,6 @@ def mono_witness(p: Correlation, cat) -> Optional[WitnessPair]:
         q_plus = build(u_plus, u_minus, row_plus, col_plus)
         q_minus = build(u_minus, u_plus, row_minus, col_minus)
     else:
-        if not is_symmetric(p):
-            raise SymmetryRequiredError(
-                "classical and quantum-style witnesses need a symmetric correlation"
-            )
         dist_plus = PairDistribution(x_set, tuple(tuple(r) for r in u_plus))
         dist_minus = PairDistribution(x_set, tuple(tuple(r) for r in u_minus))
         q_plus = two_input_classical(dist_plus)
@@ -416,7 +474,7 @@ def _skew_measures(
     return models[0], models[1]
 
 
-def epi_witness(p: Correlation, cat) -> Optional[WitnessPair]:
+def epi_witness(p, cat) -> Optional[WitnessPair]:
     """A category-internal epi failure certificate, or None if epi.
 
     Takes the first canonical left nullspace vector ``w`` and rescales it
@@ -429,8 +487,10 @@ def epi_witness(p: Correlation, cat) -> Optional[WitnessPair]:
     normalization cancels in the difference of the two members, so their
     compositions with ``p`` agree exactly.
     """
-    tag = require_member(p, cat)
-    basis = left_nullspace_basis(p)
+    a = analyze(p)
+    tag = require_member(a, cat)
+    p = a.p
+    basis = a.left_kernel
     if not basis:
         return None
     raw = basis[0].entries
@@ -478,10 +538,6 @@ def epi_witness(p: Correlation, cat) -> Optional[WitnessPair]:
         q_minus = two_output_nonsignaling(weights(w_minus))
         kernel_entries = w
     else:
-        if not is_symmetric(p):
-            raise SymmetryRequiredError(
-                "classical and quantum-style witnesses need a symmetric correlation"
-            )
         sym = [
             [(raw[a * m + b] + raw[b * m + a]) / 2 for b in range(m)] for a in range(m)
         ]
@@ -547,7 +603,12 @@ def epi_witness(p: Correlation, cat) -> Optional[WitnessPair]:
 # ---------------------------------------------------------------------------
 
 
-def is_section(p: Correlation, cat) -> bool:
+def _function_hits(a: Analysis, size: int) -> bool:
+    """Is ``p`` a shared deterministic function taking exactly ``size`` values?"""
+    return a.function is not None and len(set(a.function)) == size
+
+
+def is_section(p, cat) -> bool:
     """Does ``p`` have a left inverse in the tagged category?
 
     In ``S`` these are exactly the deterministic pairs that are one-to-one
@@ -555,58 +616,49 @@ def is_section(p: Correlation, cat) -> bool:
     itself diagonal.  In the other three categories they are exactly the
     one-to-one shared single-variable strategies.
     """
-    tag = require_member(p, cat)
-    if tag is CategoryTag.S:
-        pair = is_deterministic(p)
-        if pair is None:
+    a = analyze(p)
+    if require_member(a, cat) is not CategoryTag.S:
+        return _function_hits(a, a.p.input_set.size)
+    pair = a.deterministic
+    if pair is None:
+        return False
+    images = set()
+    for i, j in a.p.input_set.pairs():
+        image = pair.image_pair(i, j)
+        if image in images or (i != j and image[0] == image[1]):
             return False
-        nx = p.input_set.size
-        images = set()
-        for i in range(nx):
-            for j in range(nx):
-                image = pair.image_pair(i, j)
-                if image in images:
-                    return False
-                images.add(image)
-                if i != j and image[0] == image[1]:
-                    return False
-        return True
-    f = deterministic_function(p)
-    return f is not None and len(set(f)) == p.input_set.size
+        images.add(image)
+    return True
 
 
-def section_left_inverse(p: Correlation) -> Correlation:
+def section_left_inverse(p) -> Correlation:
     """A deterministic synchronous ``q`` with ``q . p`` the identity.
 
     Off the image of ``p`` the inverse answers with the first input label.
     Raises :class:`NotASectionError` when ``p`` is not a section of the
     synchronous category.
     """
-    try:
-        if not is_section(p, CategoryTag.S):
-            raise NotASectionError("correlation is not a section")
-    except NotInCategoryError:
-        raise NotASectionError("correlation is not a section") from None
-    pair = is_deterministic(p)
-    nx = p.input_set.size
-    ny = p.output_set.size
+    a = analyze(p)
+    if not (is_member(a, CategoryTag.S) and is_section(a, CategoryTag.S)):
+        raise NotASectionError("correlation is not a section")
+    pair = a.deterministic
+    ny = a.p.output_set.size
     g_a = [[0] * ny for _ in range(ny)]
     g_b = [[0] * ny for _ in range(ny)]
-    for i in range(nx):
-        for j in range(nx):
-            ya, yb = pair.image_pair(i, j)
-            g_a[ya][yb] = i
-            g_b[ya][yb] = j
+    for i, j in a.p.input_set.pairs():
+        ya, yb = pair.image_pair(i, j)
+        g_a[ya][yb] = i
+        g_b[ya][yb] = j
     inverse = DeterministicPair(
-        p.output_set,
-        p.input_set,
+        a.p.output_set,
+        a.p.input_set,
         tuple(tuple(row) for row in g_a),
         tuple(tuple(row) for row in g_b),
     )
     return from_deterministic_pair(inverse)
 
 
-def is_retraction(p: Correlation, cat) -> bool:
+def is_retraction(p, cat) -> bool:
     """Does ``p`` have a right inverse in the tagged category?
 
     In ``S`` these are exactly the deterministic pairs that cover every
@@ -614,23 +666,19 @@ def is_retraction(p: Correlation, cat) -> bool:
     In the other three categories they are exactly the onto shared
     single-variable strategies.
     """
-    tag = require_member(p, cat)
-    if tag is CategoryTag.S:
-        pair = is_deterministic(p)
-        if pair is None:
-            return False
-        nx = p.input_set.size
-        ny = p.output_set.size
-        images = {pair.image_pair(i, j) for i in range(nx) for j in range(nx)}
-        if len(images) != ny * ny:
-            return False
-        diagonal = {pair.f_a[i][i] for i in range(nx)}
-        return len(diagonal) == ny
-    f = deterministic_function(p)
-    return f is not None and len(set(f)) == p.output_set.size
+    a = analyze(p)
+    ny = a.p.output_set.size
+    if require_member(a, cat) is not CategoryTag.S:
+        return _function_hits(a, ny)
+    pair = a.deterministic
+    if pair is None:
+        return False
+    images = {pair.image_pair(i, j) for i, j in a.p.input_set.pairs()}
+    diagonal = {pair.f_a[i][i] for i in range(a.p.input_set.size)}
+    return len(images) == ny * ny and len(diagonal) == ny
 
 
-def retraction_right_inverse(p: Correlation) -> Correlation:
+def retraction_right_inverse(p) -> Correlation:
     """A deterministic synchronous ``q`` with ``p . q`` the identity.
 
     Each output pair picks its first preimage in index order, with
@@ -638,14 +686,12 @@ def retraction_right_inverse(p: Correlation) -> Correlation:
     :class:`NotARetractionError` when ``p`` is not a retraction of the
     synchronous category.
     """
-    try:
-        if not is_retraction(p, CategoryTag.S):
-            raise NotARetractionError("correlation is not a retraction")
-    except NotInCategoryError:
-        raise NotARetractionError("correlation is not a retraction") from None
-    pair = is_deterministic(p)
-    nx = p.input_set.size
-    ny = p.output_set.size
+    a = analyze(p)
+    if not (is_member(a, CategoryTag.S) and is_retraction(a, CategoryTag.S)):
+        raise NotARetractionError("correlation is not a retraction")
+    pair = a.deterministic
+    nx = a.p.input_set.size
+    ny = a.p.output_set.size
     g_a = [[-1] * ny for _ in range(ny)]
     g_b = [[-1] * ny for _ in range(ny)]
     for y in range(ny):
@@ -654,15 +700,14 @@ def retraction_right_inverse(p: Correlation) -> Correlation:
                 g_a[y][y] = i
                 g_b[y][y] = i
                 break
-    for i in range(nx):
-        for j in range(nx):
-            ya, yb = pair.image_pair(i, j)
-            if g_a[ya][yb] < 0:
-                g_a[ya][yb] = i
-                g_b[ya][yb] = j
+    for i, j in a.p.input_set.pairs():
+        ya, yb = pair.image_pair(i, j)
+        if g_a[ya][yb] < 0:
+            g_a[ya][yb] = i
+            g_b[ya][yb] = j
     inverse = DeterministicPair(
-        p.output_set,
-        p.input_set,
+        a.p.output_set,
+        a.p.input_set,
         tuple(tuple(row) for row in g_a),
         tuple(tuple(row) for row in g_b),
     )
@@ -674,21 +719,23 @@ def retraction_right_inverse(p: Correlation) -> Correlation:
 # ---------------------------------------------------------------------------
 
 
-def is_bimorphism(p: Correlation, cat) -> bool:
-    """Mono and epi at once: a square nonsingular matrix."""
-    require_member(p, cat)
-    if p.input_set.size != p.output_set.size:
-        return False
-    return _matrix_rank(p) == p.column_count
+def is_bimorphism(p, cat) -> bool:
+    """Mono and epi at once.
+
+    A mono has full column rank, so a square mono is nonsingular and
+    therefore also epi; a matrix that is not square is never both.
+    """
+    a = analyze(p)
+    require_member(a, cat)
+    return a.p.input_set.size == a.p.output_set.size and is_monomorphism(a, cat)
 
 
-def is_isomorphism(p: Correlation, cat) -> bool:
+def is_isomorphism(p, cat) -> bool:
     """Invertible in the category: a shared deterministic bijection."""
-    require_member(p, cat)
-    if p.input_set.size != p.output_set.size:
-        return False
-    f = deterministic_function(p)
-    return f is not None and len(set(f)) == p.input_set.size
+    a = analyze(p)
+    require_member(a, cat)
+    size = a.p.input_set.size
+    return size == a.p.output_set.size and _function_hits(a, size)
 
 
 # ---------------------------------------------------------------------------
@@ -729,16 +776,11 @@ def witness_from_json_dict(data: Mapping) -> WitnessPair:
     kernel_side = data.get("kernel_side")
     if kernel_side not in ("left", "right"):
         raise ParseError("kernel_side", "expected 'left' or 'right'")
-    base = FiniteSet(tuple(data.get("kernel_base_set", ())))
+    base = parse_labels(data.get("kernel_base_set"), "kernel_base_set")
     raw = data.get("kernel_vector")
     if not isinstance(raw, list):
         raise ParseError("kernel_vector", "expected a list of rational strings")
-    entries = []
-    for k, cell in enumerate(raw):
-        try:
-            entries.append(as_rational(cell))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ParseError(f"kernel_vector[{k}]", str(exc)) from None
+    entries = [parse_rational(cell, f"kernel_vector[{k}]") for k, cell in enumerate(raw)]
     model_plus = model_minus = None
     if "model_plus" in data:
         model_plus = classical_model_from_json_dict(data["model_plus"])

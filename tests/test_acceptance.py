@@ -19,11 +19,11 @@ from syncgames import (
     NotInCategoryError,
     PairDistribution,
     PairWeights,
+    analyze,
     atoms_to_intersections,
     boole_vector,
     classical_decomposition,
     compose,
-    compose_quantum_models,
     deterministic_function,
     epi_witness,
     finite_set,
@@ -55,6 +55,8 @@ from syncgames import (
     two_input_nonsignaling,
     two_output_classical,
 )
+
+from quantum_oracle import compose_quantum_models
 
 LABELS = ("0", "1", "2")
 B2 = finite_set(["0", "1"])
@@ -207,25 +209,39 @@ def test_criterion_2_section_retraction_census():
             for f_b in all_tables(nx, ny):
                 pair = DeterministicPair(x, y, f_a, f_b)
                 p = from_deterministic_pair(pair)
+                # every decider answers the same for p and for its analysis
+                a = analyze(p)
                 if not is_synchronous(p):
-                    with pytest.raises(NotInCategoryError):
-                        is_section(p, "S")
+                    for view in (p, a):
+                        with pytest.raises(NotInCategoryError):
+                            is_section(view, "S")
+                        with pytest.raises(NotInCategoryError):
+                            is_retraction(view, "S")
                     continue
                 members += 1
                 section = is_section(p, "S")
                 assert section == search_section(f_a, f_b, nx)
+                assert is_section(a, "S") == section
                 if section:
                     sections += 1
                     left = section_left_inverse(p)
                     assert is_member(left, "S")
                     assert compose(left, p) == identity(x)
+                    assert section_left_inverse(a) == left
                 retraction = is_retraction(p, "S")
                 assert retraction == search_retraction(f_a, f_b, nx, ny)
+                assert is_retraction(a, "S") == retraction
                 if retraction:
                     retractions += 1
                     right = retraction_right_inverse(p)
                     assert is_member(right, "S")
                     assert compose(p, right) == identity(y)
+                    assert retraction_right_inverse(a) == right
+                for tag in ("NS", "Q", "HV"):
+                    if is_member(a, tag):
+                        assert is_section(a, tag) == is_section(p, tag)
+                        assert is_retraction(a, tag) == is_retraction(p, tag)
+                        assert is_isomorphism(a, tag) == is_isomorphism(p, tag)
         counts[(nx, ny)] = (members, sections, retractions)
 
     # ground the cell-level search on (2,2) with the fully naive search over

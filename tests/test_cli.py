@@ -8,6 +8,9 @@ the documented exit codes: 2 for parse failures, 3 for the size guard,
 
 import json
 import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +31,7 @@ from syncgames import (
     from_quantum_model,
     identity,
     is_member,
+    is_section,
     make_correlation,
     quantum_model_to_json_dict,
     random_quantum_model,
@@ -39,6 +43,7 @@ from syncgames import (
     two_output_nonsignaling,
     witness_from_json_dict,
 )
+from syncgames import category, morphology
 from syncgames.cli import main
 
 B = finite_set(["0", "1"])
@@ -146,6 +151,18 @@ def test_construct_function_unknown_label_is_domain_error(tmp_path, capsys):
     )
     assert code == 5
     assert stderr_kind(err)["error"] == "UnknownLabelError"
+
+
+def test_construct_function_duplicate_labels_is_parse_error(capsys):
+    for option in ("--inputs", "--outputs"):
+        code, out, err = run(
+            capsys, "construct", "function", "--map", "a:0,b:1", option, "a,a"
+        )
+        assert code == 2
+        assert out == ""
+        payload = stderr_kind(err)
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith(option)
 
 
 def test_construct_function_stdout(capsys):
@@ -267,6 +284,15 @@ def test_construct_two_output_ns(tmp_path, capsys):
         ),
     )
     assert read_correlation(out) == two_output_nonsignaling(weights)
+
+
+def test_pair_weights_duplicate_labels_is_parse_error(tmp_path, capsys):
+    w = write_json(tmp_path, "w.json", {"labels": ["a", "a"], "entries": W3_ROWS[:2]})
+    code, _, err = run(capsys, "construct", "two-output-ns", "--w", w)
+    assert code == 2
+    payload = stderr_kind(err)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith("labels")
 
 
 def test_construct_two_output_classical(tmp_path, capsys):
@@ -815,3 +841,86 @@ def test_boole_vector_bad_interpretation(tmp_path, capsys):
     code, _, err = run(capsys, "boole", "reconstruct", w)
     assert code == 2
     assert stderr_kind(err)["error"] == "ParseError"
+
+
+def test_boole_vector_absurd_length_is_shape_mismatch(tmp_path):
+    # 2**n for this n needs more than 100 GB; the child runs under a 1 GiB
+    # address-space limit so that building it fails fast instead of
+    # exhausting the host.
+    path = write_json(
+        tmp_path, "v.json", {"n": 10**12, "interpretation": "atoms", "entries": QUARTERS}
+    )
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(morphology.__file__))
+    argv = ["boole", "transform", path, "--direction", "p2w"]
+    done = subprocess.run(
+        [sys.executable, "-m", "syncgames.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap_memory,
+        timeout=60,
+    )
+    assert done.returncode == 4, done.stderr
+    assert "Traceback" not in done.stderr
+    assert stderr_kind(done.stderr)["error"] == "ShapeMismatchError"
+
+
+# ---------------------------------------------------------------------------
+# one analysis per call
+# ---------------------------------------------------------------------------
+
+
+def counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    counts = {}
+    counting(monkeypatch, category, "find_nonnegative_combination", counts)
+    counting(monkeypatch, morphology, "right_nullspace_basis", counts)
+    counting(monkeypatch, morphology, "left_nullspace_basis", counts)
+    return counts
+
+
+def test_classify_emit_witnesses_solves_once(tmp_path, capsys, solver_calls):
+    model = ClassicalModel(
+        T, B, (((0, 0, 1), F(1, 2)), ((0, 1, 1), F(1, 4)), ((1, 0, 0), F(1, 4)))
+    )
+    path = write_correlation(tmp_path, "mix.json", from_classical_model(model))
+    wdir = str(tmp_path / "w")
+    code, out, _ = run(capsys, "classify", path, "--emit-witnesses", wdir)
+    assert code == 0
+    report = json.loads(out)
+    assert report["classical"] is True
+    assert sorted(report["witnesses"]) == ["mono_HV", "mono_NS", "mono_Q", "mono_S"]
+    assert solver_calls == {
+        "find_nonnegative_combination": 1,
+        "right_nullspace_basis": 1,
+        "left_nullspace_basis": 1,
+    }
+
+
+def test_cheap_questions_solve_nothing(tmp_path, capsys, solver_calls):
+    assert is_section(half_diagonal(), "S") is False
+    assert is_member(half_diagonal(), "Q") is True
+    y4 = finite_set(["0", "1", "2", "3"])
+    signaling = DeterministicPair(B, y4, ((0, 2), (1, 3)), ((1, 3), (0, 2)))
+    path = write_correlation(tmp_path, "nonsync.json", from_deterministic_pair(signaling))
+    code, out, _ = run(capsys, "classify", path, "--emit-witnesses", str(tmp_path / "w"))
+    assert code == 0
+    report = json.loads(out)
+    assert report["synchronous"] is False
+    assert report["witnesses"] == {}
+    assert solver_calls == {}

@@ -13,7 +13,6 @@ from syncgames import (
     classical_model_from_json_dict,
     classical_model_to_json_dict,
     classical_decomposition,
-    compose_quantum_models,
     enumerate_functions,
     finite_set,
     from_classical_model,
@@ -46,6 +45,8 @@ from syncgames import (
     two_output_nonsignaling,
     validate_quantum_model,
 )
+
+from quantum_oracle import compose_quantum_models
 from syncgames.constructors import _random_unitary
 from syncgames.errors import (
     ConditionViolatedError,
@@ -194,6 +195,16 @@ def test_classical_model_json_errors():
         )
 
 
+def test_classical_model_json_rejects_keys_that_parse_alike():
+    data = {
+        "input_set": ["0", "1"],
+        "output_set": ["0", "1"],
+        "mu": {"(0,1)": "1/2", "( 0, 1 )": "1/2"},
+    }
+    with pytest.raises(ParseError, match="duplicate function key"):
+        classical_model_from_json_dict(data)
+
+
 def test_gaussian_rational_arithmetic():
     a = gaussian(F(1, 2), F(1, 3))
     b = gaussian(F(1, 4), F(-1, 3))
@@ -320,6 +331,13 @@ def test_quantum_model_json_errors():
         quantum_model_from_json_dict(bad_cell)
     with pytest.raises(ParseError):
         quantum_model_from_json_dict(dict(good, pvm={"0": good["pvm"]["0"]}))
+
+
+def test_quantum_model_json_rejects_boolean_dimension():
+    data = {"input_set": ["0"], "output_set": ["0"], "d": True, "pvm": {"0": [[[["1", "0"]]]]}}
+    assert quantum_model_from_json_dict(dict(data, d=1)).dimension == 1
+    with pytest.raises(ParseError, match="d:"):
+        quantum_model_from_json_dict(data)
 
 
 def test_two_input_nonsignaling_uniform():

@@ -591,3 +591,13 @@ def test_witness_json_errors():
         witness_from_json_dict(dict(data, kernel_side="middle"))
     with pytest.raises(ParseError):
         witness_from_json_dict(dict(data, kernel_vector=["1/0"] + data["kernel_vector"][1:]))
+
+
+def test_witness_json_rejects_bad_kernel_base_set():
+    data = witness_to_json_dict(mono_witness(CONST_ZERO, "S"))
+    for labels in ([], ["0", "0"]):
+        with pytest.raises(ParseError, match="kernel_base_set"):
+            witness_from_json_dict(dict(data, kernel_base_set=labels))
+    without = {k: v for k, v in data.items() if k != "kernel_base_set"}
+    with pytest.raises(ParseError, match="kernel_base_set"):
+        witness_from_json_dict(without)
