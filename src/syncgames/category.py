@@ -15,6 +15,7 @@ strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
@@ -139,27 +140,43 @@ def deterministic_function(p: Correlation) -> Optional[tuple[int, ...]]:
     return None if pair is None else pair.shared_function()
 
 
+@lru_cache(maxsize=8)
+def _strategies(nx: int, ny: int) -> tuple[tuple[int, ...], ...]:
+    """Every function ``X -> Y`` as an index tuple, built once per shape.
+
+    The tuples become the keys of returned models, so all models of one
+    shape share them instead of each holding copies (about a quarter of a
+    kept model's memory).  The cache is small and holds only immutable
+    tuples.
+    """
+    return tuple(enumerate_functions(nx, ny))
+
+
 def classical_decomposition(p: Correlation) -> Optional[ClassicalModel]:
     """An exact measure on shared strategies reproducing ``p``, or None.
 
     Solves the feasibility problem over all ``|Y| ** |X|`` deterministic
     strategy columns with an exact phase-one simplex.  ``p`` must be
-    synchronous; asymmetric or otherwise non-classical inputs simply yield
-    None.  The caller can re-expand the returned model to confirm it.
+    synchronous.  Every mixture of shared functions is symmetric and
+    nonsignaling, so an input that is not both yields None without the
+    linear program; other non-classical inputs yield None from it.  The
+    caller can re-expand the returned model to confirm it.
     """
     if not is_synchronous(p):
         raise NotSynchronousError("classical decompositions exist only for synchronous inputs")
+    if not (is_symmetric(p) and is_nonsignaling(p)):
+        return None
     nx = p.input_set.size
     ny = p.output_set.size
-    functions = list(enumerate_functions(nx, ny))
+    functions = _strategies(nx, ny)
     length = p.row_count * p.column_count
     columns = []
     for f in functions:
-        column = [ZERO] * length
+        column = [0] * length
         for i, j in p.input_set.pairs():
             r = p.output_set.pair_index(f[i], f[j])
             c = p.input_set.pair_index(i, j)
-            column[r * p.column_count + c] = ONE
+            column[r * p.column_count + c] = 1
         columns.append(column)
     target = [
         p.matrix[r][c] for r in range(p.row_count) for c in range(p.column_count)
@@ -177,8 +194,9 @@ class ClassLabel:
 
     ``deterministic`` carries the answer tables when defined, and
     ``classical`` carries a reproducing measure when one was found.
-    ``classical_decided`` records whether the linear program ran at all
-    (it is skipped for asynchronous inputs and on request).
+    ``classical_decided`` records whether classical membership was decided
+    at all: it is for every synchronous input unless skipped on request,
+    with the linear program run only for symmetric nonsignaling ones.
     """
 
     synchronous: bool

@@ -362,7 +362,14 @@ def _cmd_construct_pair(args) -> int:
         raw = data[key]
         if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
             raise ParseError(key, "expected a list of rows of integers")
-        return tuple(tuple(v for v in row) for row in raw)
+        for r, row in enumerate(raw):
+            for c, v in enumerate(row):
+                # JSON true/false arrive as bool, which is a subclass of int.
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ParseError(
+                        f"{key}[{r}][{c}]", f"expected an integer, got {json.dumps(v)}"
+                    )
+        return tuple(tuple(row) for row in raw)
 
     pair = DeterministicPair(
         input_set,

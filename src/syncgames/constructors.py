@@ -143,7 +143,9 @@ class ClassicalModel:
         total = ZERO
         for key, raw in self.weights:
             key = tuple(key)
-            if len(key) != n or any(not isinstance(v, int) or not 0 <= v < m for v in key):
+            if len(key) != n or any(
+                not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < m for v in key
+            ):
                 raise ShapeMismatchError(
                     f"function key {key!r} is not a length-{n} tuple of indices below {m}"
                 )

@@ -19,6 +19,7 @@ point never appears.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
@@ -37,16 +38,25 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The text form of a rational: an optional sign, then ``n`` or ``n/d`` in
+# decimal digits.  ``Fraction`` also reads decimals and exponents, and
+# expands an exponent such as ``1e999999999`` into a power of ten.
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
 
 def as_rational(value) -> Fraction:
     """Coerce an int, Fraction or ``"n"``/``"n/d"`` string to a Fraction.
 
     Floats are rejected on purpose: they would silently break exactness.
+    A string must be an optional sign and then ``n`` or ``n/d`` in decimal
+    digits; anything else (spaces, decimals, exponents) raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value) is None:
+        raise ValueError(f"{value!r} is not a rational of the form n or n/d")
     return Fraction(value)
 
 
@@ -349,7 +359,7 @@ class DeterministicPair:
                 raise ShapeMismatchError(f"{name} must be an {n} x {n} table")
             for row in table:
                 for v in row:
-                    if not isinstance(v, int) or not 0 <= v < m:
+                    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < m:
                         raise ShapeMismatchError(
                             f"{name} entries must be output indices below {m}, got {v!r}"
                         )

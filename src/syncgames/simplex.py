@@ -1,19 +1,31 @@
 """Exact feasibility of ``A x = b, x >= 0`` by phase-one simplex.
 
-Everything runs over :class:`fractions.Fraction`.  Bland's smallest-index
-rule makes the method deterministic and guarantees termination; a
+The tableau is fraction-free (Bareiss 1968).  The coefficient block is
+held as Python ``int`` rows over one common denominator: each pivot
+replaces every other row by ``(piv * row - f * pivot_row) // den``, a
+division that is always exact, and the pivot element becomes the new
+denominator.  Fractional coefficients are first cleared by one common
+positive column scale (the lcm of their denominators; 1 for the 0/1
+strategy columns of a classical decomposition).  Only the right-hand side,
+the values of the basic variables, stays a column of exact
+:class:`fractions.Fraction`.
+
+Neither the common denominator nor the column scale changes the sign of a
+reduced cost or the order of the ratios, so Bland's smallest-index rule
+takes the same pivots, and returns the same vertex, as the same method run
+over fractions; it is deterministic and guaranteed to terminate.  A
 presolve pass removes duplicate and zero rows (detecting trivially
-inconsistent systems along the way), which keeps the tableau small for
-the highly redundant systems produced by correlation decompositions.
+inconsistent systems along the way), which keeps the tableau small for the
+highly redundant systems produced by correlation decompositions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _presolve(
@@ -42,9 +54,9 @@ def find_nonnegative_combination(
 ) -> Optional[list[Fraction]]:
     """Return ``x >= 0`` with ``sum x[j] * columns[j] == target``, or None.
 
-    ``columns`` are equal-length exact vectors.  The returned solution is
-    deterministic (Bland's rule) and verified against the full system
-    before being handed back.
+    ``columns`` are equal-length exact vectors (``int`` or ``Fraction``
+    entries).  The returned solution is deterministic (Bland's rule) and
+    verified against the full system before being handed back.
     """
     if not columns:
         return None if any(v != 0 for v in target) else []
@@ -55,41 +67,43 @@ def find_nonnegative_combination(
     if not rows:
         return [ZERO] * n
 
-    # Tableau rows: coefficients of the original variables plus the right
-    # hand side.  The starting basis is one artificial variable per row;
-    # artificial columns are never explicit because they never re-enter.
-    tableau = []
+    # Solve for x' = x / scale, whose columns are integral.  The true
+    # tableau entry is tableau[i][j] / den; value[i] is the basic variable
+    # of row i itself.  The starting basis is one artificial variable per
+    # row; artificial columns are never explicit because they never
+    # re-enter.
+    scale = lcm(*(v.denominator for coeffs, _ in rows for v in coeffs))
+    tableau: list[list[int]] = []
+    value: list[Fraction] = []
     basis: list[int] = []  # original j, or n + i for the artificial of row i
     for i, (coeffs, b) in enumerate(rows):
-        if b < 0:
-            coeffs = tuple(-v for v in coeffs)
-            b = -b
-        tableau.append(list(coeffs) + [b])
+        sign = -1 if b < 0 else 1
+        tableau.append([sign * v.numerator * (scale // v.denominator) for v in coeffs])
+        value.append(Fraction(sign * b))
         basis.append(n + i)
     m = len(tableau)
-    width = n + 1
+    den = 1
 
     # Phase-one objective: minimize the sum of artificials.  The reduced
-    # cost row starts as minus the column sums.
-    objective = [ZERO] * width
-    for row in tableau:
-        for j in range(width):
-            objective[j] -= row[j]
+    # cost row (over the same denominator) starts as minus the column sums.
+    objective = [-sum(column) for column in zip(*tableau)]
 
     while True:
         entering = -1
-        for j in range(n):
-            if objective[j] < 0:
+        for j, cost in enumerate(objective):
+            if cost < 0:
                 entering = j
                 break
         if entering < 0:
             break
+        # Every candidate ratio value[i] / (tableau[i][entering] / den)
+        # carries the same factor den, so it is left out of the comparison.
         leaving = -1
         best_ratio = None
         for i in range(m):
             pivot = tableau[i][entering]
             if pivot > 0:
-                ratio = tableau[i][-1] / pivot
+                ratio = value[i] / pivot
                 if (
                     best_ratio is None
                     or ratio < best_ratio
@@ -101,34 +115,34 @@ def find_nonnegative_combination(
             raise AssertionError("phase-one objective cannot be unbounded")
         pivot_row = tableau[leaving]
         pivot = pivot_row[entering]
-        if pivot != 1:
-            for j in range(width):
-                pivot_row[j] /= pivot
-        for row in tableau:
-            if row is pivot_row:
+        step = value[leaving] / pivot
+        for i in range(m):
+            if i == leaving:
                 continue
+            row = tableau[i]
             factor = row[entering]
             if factor != 0:
-                for j in range(width):
-                    row[j] -= factor * pivot_row[j]
+                tableau[i] = [(pivot * a - factor * p) // den for a, p in zip(row, pivot_row)]
+                value[i] -= factor * step
+            elif pivot != den:
+                tableau[i] = [pivot * a // den for a in row]
         factor = objective[entering]
-        if factor != 0:
-            for j in range(width):
-                objective[j] -= factor * pivot_row[j]
+        objective = [(pivot * a - factor * p) // den for a, p in zip(objective, pivot_row)]
+        value[leaving] = step * den
         basis[leaving] = entering
+        den = pivot
 
-    residual = sum((tableau[i][-1] for i in range(m) if basis[i] >= n), ZERO)
-    if residual != 0:
+    if any(value[i] != 0 for i in range(m) if basis[i] >= n):
         return None
     solution = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            solution[basis[i]] = tableau[i][-1]
-    for i, value in enumerate(target):
+            solution[basis[i]] = value[i] * scale
+    for i, target_value in enumerate(target):
         acc = ZERO
         for j in range(n):
             if solution[j] != 0:
                 acc += solution[j] * columns[j][i]
-        if acc != value:
+        if acc != target_value:
             raise AssertionError("simplex returned a vector that fails verification")
     return solution

@@ -23,6 +23,7 @@ from syncgames import (
     random_correlation,
     two_input_nonsignaling,
 )
+from syncgames import category
 from syncgames.errors import NotSynchronousError, SetMismatchError
 
 B = finite_set(["0", "1"])
@@ -169,6 +170,28 @@ def test_classical_decomposition_reexpands():
 
 def test_classical_decomposition_none_for_asymmetric():
     assert classical_decomposition(CYCLIC) is None
+
+
+def test_classify_solves_no_lp_for_an_asymmetric_input(monkeypatch):
+    calls = []
+    solve = category.find_nonnegative_combination
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(category, "find_nonnegative_combination", counted)
+    label = classify(CYCLIC)
+    assert (label.synchronous, label.symmetric, label.classical_decided) == (True, False, True)
+    assert label.classical is None
+    assert calls == []
+
+
+def test_models_of_one_shape_share_their_keys():
+    first = classical_decomposition(HALF_DIAGONAL)
+    second = classical_decomposition(from_function(B, B, {"0": "0", "1": "0"}))
+    assert second.weights[0][0] == (0, 0)
+    assert second.weights[0][0] is first.weights[0][0]
 
 
 def test_classical_decomposition_point_mass():

@@ -201,6 +201,24 @@ def test_construct_pair_missing_field(tmp_path, capsys):
     assert stderr_kind(err)["error"] == "ParseError"
 
 
+def test_construct_pair_rejects_boolean_indices(tmp_path, capsys):
+    payload = {
+        "input_set": ["0", "1"],
+        "output_set": ["0", "1"],
+        "f_a": [[0, 1], [1, 1]],
+        "f_b": [[0, 1], [True, 1]],
+    }
+    path = write_json(tmp_path, "pair.json", payload)
+    code, out, err = run(capsys, "construct", "pair", path, "--out", "-")
+    assert code == 2
+    assert out == ""
+    [line] = err.strip().splitlines()
+    assert json.loads(line) == {
+        "error": "ParseError",
+        "message": "f_b[1][0]: expected an integer, got true",
+    }
+
+
 def test_construct_mixture(tmp_path, capsys):
     model = ClassicalModel(B, B, (((0, 0), F(1, 2)), ((1, 1), F(1, 2))))
     path = write_json(tmp_path, "model.json", classical_model_to_json_dict(model))
@@ -677,6 +695,19 @@ def test_boole_pair_bounds(capsys):
 
 def test_boole_pair_bounds_bad_rational(capsys):
     code, _, err = run(capsys, "boole", "pair-bounds", "--a", "x", "--b", "1/2")
+    assert code == 2
+    assert stderr_kind(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e5"])
+def test_rationals_outside_the_grammar_exit_2(tmp_path, capsys, text):
+    code, _, err = run(capsys, "boole", "pair-bounds", "--a", text, "--b", "1/2")
+    assert code == 2
+    assert stderr_kind(err)["error"] == "ParseError"
+    path = write_json(
+        tmp_path, "p.json", {"input_set": ["0"], "output_set": ["0"], "entries": [[text]]}
+    )
+    code, _, err = run(capsys, "classify", path)
     assert code == 2
     assert stderr_kind(err)["error"] == "ParseError"
 

@@ -144,6 +144,8 @@ def test_classical_model_validation():
         classical_model(B, B, {(0, 0, 0): F(1)})
     with pytest.raises(ShapeMismatchError):
         classical_model(B, B, {(0, 2): F(1)})
+    with pytest.raises(ShapeMismatchError):
+        classical_model(B, B, {(True, False): F(1)})
     with pytest.raises(WeightsNotNormalizedError):
         ClassicalModel(B, B, (((0, 0), F(1, 2)), ((0, 0), F(1, 2))))
 

@@ -40,6 +40,16 @@ def test_as_rational_rejects_floats_and_bools():
         as_rational(None)
 
 
+def test_as_rational_reads_only_n_and_n_over_d():
+    assert as_rational("+3") == F(3)
+    assert as_rational("-0/5") == F(0)
+    assert as_rational("007/14") == F(1, 2)
+    rejected = ("0.5", "1e5", "1E-2", " 1", "1/2 ", "1 / 2", "1/-2", "1/2/3", "", "/2", "\u0661")
+    for text in rejected:
+        with pytest.raises(ValueError):
+            as_rational(text)
+
+
 def test_format_rational_lowest_terms():
     assert format_rational(F(2, 4)) == "1/2"
     assert format_rational(F(3)) == "3"
@@ -208,6 +218,8 @@ def test_deterministic_pair_tables():
         DeterministicPair(X, Y, ((0,), (1, 1)), ((0, 1), (0, 1)))
     with pytest.raises(ShapeMismatchError):
         DeterministicPair(X, Y, ((0, 5), (1, 1)), ((0, 1), (0, 1)))
+    with pytest.raises(ShapeMismatchError):
+        DeterministicPair(X, Y, ((False, 0), (1, True)), ((0, 1), (0, 1)))
 
 
 def test_correlation_requires_fraction_entries():

@@ -1,0 +1,241 @@
+"""The exact phase-one simplex behind classical decompositions."""
+
+import random
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from syncgames import category, constructors, finite_set
+from syncgames.boole import triple_inequalities
+from syncgames.corrcore import PairWeights
+from syncgames.simplex import find_nonnegative_combination
+
+
+def fraction_phase_one(columns, target):
+    """Reference: the same method (presolve, Bland's rule) on a dense tableau
+    of fractions, pivoting by division."""
+    n = len(columns)
+    seen, order = {}, []
+    for i, b in enumerate(target):
+        coeffs = tuple(F(column[i]) for column in columns)
+        if not any(coeffs):
+            if b != 0:
+                return None
+            continue
+        if coeffs in seen:
+            if seen[coeffs] != b:
+                return None
+            continue
+        seen[coeffs] = F(b)
+        order.append(coeffs)
+    if not order:
+        return [F(0)] * n
+    tableau = []
+    for coeffs in order:
+        sign = -1 if seen[coeffs] < 0 else 1
+        tableau.append([sign * v for v in coeffs] + [sign * seen[coeffs]])
+    basis = [n + i for i in range(len(tableau))]
+    objective = [-sum(column) for column in zip(*tableau)]
+    while True:
+        entering = next((j for j in range(n) if objective[j] < 0), None)
+        if entering is None:
+            break
+        candidates = [
+            (row[-1] / row[entering], basis[i], i) for i, row in enumerate(tableau) if row[entering] > 0
+        ]
+        leaving = min(candidates)[2]
+        pivot_row = tableau[leaving]
+        pivot_row[:] = [v / pivot_row[entering] for v in pivot_row]
+        for row in tableau + [objective]:
+            if row is not pivot_row:
+                factor = row[entering]
+                row[:] = [v - factor * p for v, p in zip(row, pivot_row)]
+        basis[leaving] = entering
+    if any(tableau[i][-1] for i in range(len(tableau)) if basis[i] >= n):
+        return None
+    solution = [F(0)] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            solution[j] = tableau[i][-1]
+    return solution
+
+
+def test_empty_columns():
+    assert find_nonnegative_combination([], [F(0), F(0)]) == []
+    assert find_nonnegative_combination([], [F(0), F(1)]) is None
+
+
+def test_zero_rows():
+    columns = [[F(1), F(0)], [F(2), F(0)]]
+    assert find_nonnegative_combination(columns, [F(1), F(1)]) is None
+    assert find_nonnegative_combination(columns, [F(1), F(0)]) == [F(1), F(0)]
+    assert find_nonnegative_combination([[F(0)], [F(0)]], [F(0)]) == [F(0), F(0)]
+
+
+def test_duplicate_rows():
+    columns = [[F(1), F(1)], [F(0), F(0)]]
+    assert find_nonnegative_combination(columns, [F(1, 2), F(1, 3)]) is None
+    assert find_nonnegative_combination(columns, [F(1, 2), F(1, 2)]) == [F(1, 2), F(0)]
+
+
+def test_negative_targets_flip_the_row():
+    columns = [[F(-1), F(0)], [F(0), F(-3)], [F(1), F(1)]]
+    assert find_nonnegative_combination(columns, [F(-1, 2), F(-1)]) == [F(1, 2), F(1, 3), F(0)]
+    assert find_nonnegative_combination([[F(1)], [F(2)]], [F(-1)]) is None
+
+
+def test_fractional_and_negative_coefficients_share_one_scale():
+    # Denominators 2, 3 and 5: the integer tableau carries the scale 30,
+    # and the result comes back unscaled.
+    columns = [[F(1, 2), F(-1, 3)], [F(2, 5), F(1, 3)], [F(-1), F(-1)]]
+    x = find_nonnegative_combination(columns, [F(1, 3), F(1, 9)])
+    assert x == fraction_phase_one(columns, [F(1, 3), F(1, 9)])
+    assert all(v >= 0 for v in x)
+    for i, b in enumerate([F(1, 3), F(1, 9)]):
+        assert sum(x[j] * columns[j][i] for j in range(3)) == b
+    assert find_nonnegative_combination([[F(1, 2)], [F(-1, 3)]], [F(-1)]) == [F(0), F(3)]
+
+
+def test_ratio_ties_leave_the_smallest_basis_index():
+    # The first column enters with equal ratios in both rows; Bland's rule
+    # removes row 0's artificial, and the degenerate pivot that follows
+    # brings in the third column at value zero.
+    columns = [[F(1), F(1)], [F(1), F(0)], [F(0), F(1)]]
+    assert find_nonnegative_combination(columns, [F(1), F(1)]) == [F(1), F(0), F(0)]
+    columns = [[F(1), F(2), F(1)], [F(2), F(4), F(0)], [F(0), F(0), F(1)], [F(1), F(0), F(0)]]
+    target = [F(2), F(4), F(1)]
+    assert find_nonnegative_combination(columns, target) == fraction_phase_one(columns, target)
+
+
+_ENTRIES = st.sampled_from([F(0), F(0), F(1), F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(5, 7)])
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    columns = [[draw(_ENTRIES) for _ in range(m)] for _ in range(n)]
+    if draw(st.booleans()):
+        x = [draw(st.sampled_from([F(0), F(0), F(1), F(1, 2), F(3, 4)])) for _ in range(n)]
+        target = [sum((x[j] * columns[j][i] for j in range(n)), F(0)) for i in range(m)]
+    else:
+        target = [draw(_ENTRIES) for _ in range(m)]
+    return columns, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_same_vertex_as_the_fraction_tableau(system):
+    columns, target = system
+    x = find_nonnegative_combination(columns, target)
+    assert x == fraction_phase_one(columns, target)
+
+
+def labels(n):
+    return finite_set([str(i) for i in range(n)])
+
+
+def _mixture(seed, nx, ny):
+    rng = random.Random(seed)
+    chosen = set()
+    while len(chosen) < 8:
+        chosen.add(tuple(rng.randrange(ny) for _ in range(nx)))
+    raw = {f: rng.randint(1, 8) for f in sorted(chosen)}
+    total = sum(raw.values())
+    mu = {f: F(k, total) for f, k in raw.items()}
+    return constructors.from_classical_model(constructors.classical_model(labels(nx), labels(ny), mu))
+
+
+def _widened_quantum(seed):
+    model = constructors.random_quantum_model(labels(3), labels(2), 2, seed)
+    g = constructors.from_function_indices(labels(2), labels(4), (3, 1))
+    return category.compose(g, constructors.from_quantum_model(model))
+
+
+# Models returned by the Fraction tableau this kernel replaced.
+PINNED = {
+    "mixture 4->3": (
+        lambda: _mixture(1, 4, 3),
+        {
+            (0, 1, 0, 0): "7/43", (0, 1, 1, 1): "4/43", (0, 2, 0, 1): "7/43",
+            (0, 2, 2, 0): "1/43", (1, 0, 1, 1): "4/43", (1, 2, 0, 2): "8/43",
+            (2, 0, 2, 1): "8/43", (2, 1, 0, 0): "4/43",
+        },
+    ),
+    "widened quantum 3->4": (
+        lambda: _widened_quantum(3),
+        {
+            (1, 1, 1): "43120856837644300304/97493222380556640625",
+            (1, 1, 3): "920361114280424229336/81991800022048134765625",
+            (1, 3, 1): "466994519138064377313/56351082535961738281250",
+            (1, 3, 3): "904978412328747256107696/23695630206371910947265625",
+            (3, 1, 3): "42196797744329817/907867681905031250",
+            (3, 3, 1): "391854089831688/7929568566015625",
+            (3, 3, 3): "383020108848154491539168/947825208254876437890625",
+        },
+    ),
+    "random_classical_model 4->3": (
+        lambda: constructors.from_classical_model(
+            constructors.random_classical_model(labels(4), labels(3), 0)
+        ),
+        {
+            (0, 0, 0, 0): "3/350", (0, 0, 0, 1): "1/35", (0, 0, 0, 2): "3/350",
+            (0, 0, 1, 0): "11/175", (0, 0, 1, 2): "1/35", (0, 1, 0, 2): "9/175",
+            (0, 1, 1, 2): "4/175", (0, 1, 2, 0): "3/175", (0, 1, 2, 2): "1/70",
+            (0, 2, 0, 1): "1/350", (0, 2, 2, 0): "2/175", (0, 2, 2, 1): "2/25",
+            (0, 2, 2, 2): "1/350", (1, 0, 0, 0): "8/175", (1, 0, 0, 1): "1/25",
+            (1, 0, 1, 0): "1/175", (1, 0, 1, 1): "11/350", (1, 0, 2, 0): "1/70",
+            (1, 1, 1, 2): "4/175", (1, 1, 2, 0): "27/350", (1, 2, 1, 2): "27/350",
+            (1, 2, 2, 0): "1/175", (2, 0, 1, 1): "9/350", (2, 0, 2, 1): "3/350",
+            (2, 0, 2, 2): "17/175", (2, 1, 0, 1): "8/175", (2, 1, 0, 2): "1/50",
+            (2, 1, 1, 0): "4/175", (2, 1, 1, 1): "8/175", (2, 2, 0, 0): "11/175",
+            (2, 2, 1, 0): "2/175",
+        },
+    ),
+}
+
+
+def test_pinned_models():
+    for name, (build, expected) in PINNED.items():
+        model = category.classical_decomposition(build())
+        assert model.mu == {f: F(v) for f, v in expected.items()}, name
+
+
+_FORMS = [ineq.normal_form() for ineq in triple_inequalities().inequalities]
+
+
+def _triple_values(w):
+    env = {"1": F(1)}
+    for a in range(3):
+        for b in range(a, 3):
+            env[f"w(x{a},x{b})"] = w[a][b]
+    return [sum((c * env[s] for s, c in form.items()), F(0)) for form in _FORMS]
+
+
+def _ns_weights(rng, grid):
+    """Symmetric nonsignaling pairwise weights on three inputs, multiples of
+    ``1 / grid``; a coarse grid often meets an inequality with equality."""
+    diag = [F(rng.randint(1, grid - 1), grid) for _ in range(3)]
+    w = [[F(0)] * 3 for _ in range(3)]
+    for a in range(3):
+        w[a][a] = diag[a]
+        for b in range(a):
+            low, high = max(F(0), diag[a] + diag[b] - 1), min(diag[a], diag[b])
+            steps = int((high - low) * grid)
+            w[a][b] = w[b][a] = low + F(rng.randint(0, steps), grid)
+    return w
+
+
+def test_lp_agrees_with_the_sixteen_triple_inequalities():
+    seen = set()
+    for seed in range(300):
+        w = _ns_weights(random.Random(seed), (2, 4, 12)[seed % 3])
+        p = constructors.two_output_nonsignaling(PairWeights(labels(3), tuple(map(tuple, w))))
+        low = min(_triple_values(w))
+        model = category.classical_decomposition(p)
+        assert (model is not None) == (low >= 0), (seed, w)
+        if model is not None:
+            assert constructors.from_classical_model(model) == p
+        seen.add((low > 0) - (low < 0))
+    assert seen == {-1, 0, 1}, "violated, tight and strict cases all occur"
