@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .constructors import ClassicalModel, classical_model, enumerate_functions
-from .corrcore import ONE, ZERO, Correlation, DeterministicPair
+from .corrcore import ONE, ZERO, Correlation, DeterministicPair, common_denominator
 from .errors import NotSynchronousError, SetMismatchError
 from .simplex import find_nonnegative_combination
 
@@ -32,22 +32,19 @@ def compose(q: Correlation, p: Correlation) -> Correlation:
             f"cannot compose: outer input set {q.input_set.labels!r} differs from "
             f"inner output set {p.output_set.labels!r}"
         )
-    rows = q.row_count
-    inner = q.column_count
-    cols = p.column_count
+    # Each row of q and each column of p over its own lcm: integer dot
+    # products, then one Fraction per entry.
+    q_rows = []
+    for row in q.matrix:
+        d, nums = common_denominator(row)
+        q_rows.append((d, [(k, v) for k, v in enumerate(nums) if v]))
+    p_cols = [common_denominator(column) for column in zip(*p.matrix)]
     matrix = []
-    for r in range(rows):
-        q_row = q.matrix[r]
+    for dq, nonzero in q_rows:
         out_row = []
-        for c in range(cols):
-            acc = ZERO
-            for k in range(inner):
-                qv = q_row[k]
-                if qv != 0:
-                    pv = p.matrix[k][c]
-                    if pv != 0:
-                        acc += qv * pv
-            out_row.append(acc)
+        for dp, col in p_cols:
+            dot = sum(v * col[k] for k, v in nonzero)
+            out_row.append(Fraction(dot, dq * dp) if dot else ZERO)
         matrix.append(tuple(out_row))
     return Correlation(p.input_set, q.output_set, tuple(matrix))
 
@@ -156,16 +153,15 @@ def classical_decomposition(p: Correlation) -> Optional[ClassicalModel]:
     """An exact measure on shared strategies reproducing ``p``, or None.
 
     Solves the feasibility problem over all ``|Y| ** |X|`` deterministic
-    strategy columns with an exact phase-one simplex.  ``p`` must be
-    synchronous.  Every mixture of shared functions is symmetric and
-    nonsignaling, so an input that is not both yields None without the
-    linear program; other non-classical inputs yield None from it.  The
-    caller can re-expand the returned model to confirm it.
+    strategy columns with an exact phase-one simplex, so every
+    non-classical input, asymmetric and signaling ones included, yields
+    None.  ``p`` must be synchronous.  Every mixture of shared functions
+    is symmetric and nonsignaling, so callers that already know ``p`` is
+    not both (:func:`classify`, ``morphology.Analysis``) skip the call.
+    The caller can re-expand the returned model to confirm it.
     """
     if not is_synchronous(p):
         raise NotSynchronousError("classical decompositions exist only for synchronous inputs")
-    if not (is_symmetric(p) and is_nonsignaling(p)):
-        return None
     nx = p.input_set.size
     ny = p.output_set.size
     functions = _strategies(nx, ny)
@@ -195,8 +191,10 @@ class ClassLabel:
     ``deterministic`` carries the answer tables when defined, and
     ``classical`` carries a reproducing measure when one was found.
     ``classical_decided`` records whether classical membership was decided
-    at all: it is for every synchronous input unless skipped on request,
-    with the linear program run only for symmetric nonsignaling ones.
+    at all: it is for every synchronous input unless skipped on request.
+    The linear program runs only for symmetric nonsignaling inputs; any
+    other is not classical, because every mixture of shared functions is
+    symmetric and nonsignaling.
     """
 
     synchronous: bool
@@ -216,6 +214,7 @@ def classify(p: Correlation, decide_classical: bool = True) -> ClassLabel:
     classical = None
     decided = False
     if decide_classical and synchronous:
-        classical = classical_decomposition(p)
+        if symmetric and nonsignaling:
+            classical = classical_decomposition(p)
         decided = True
     return ClassLabel(synchronous, nonsignaling, symmetric, deterministic, classical, decided)

@@ -112,7 +112,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, str(exc)) from None
 
 
@@ -122,6 +122,8 @@ def _read_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
+    except RecursionError:
+        raise ParseError(path, "JSON nested too deeply") from None
 
 
 def _load_correlation(path: str) -> Correlation:

@@ -19,6 +19,7 @@ and documents the class its output provably belongs to.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,7 @@ from .corrcore import (
     PairDistribution,
     PairWeights,
     as_rational,
+    common_denominator,
     format_rational,
     make_correlation,
     parse_labels,
@@ -372,46 +374,83 @@ class QuantumModel:
                     )
 
 
-def validate_quantum_model(model: QuantumModel) -> None:
-    """Check Hermiticity, idempotency and completeness, exactly."""
+def _integer_projections(model: QuantumModel) -> list[list[tuple[int, list[int]]]]:
+    """Validate ``model`` exactly and return its projections in integers.
+
+    Each projection ``P`` becomes ``(den, parts)``: ``den`` is the lcm of
+    the denominators of its entries and ``parts`` lists the real parts of
+    ``den * P`` row by row, then the imaginary parts.  Raises the error of
+    the first projection that is not Hermitian or not idempotent, or of
+    the first input whose family does not sum to the identity.
+    """
     d = model.dimension
+    cells = d * d
+    families = []
     for i, x_label in enumerate(model.input_set.labels):
-        total = tuple(tuple(GR_ZERO for _ in range(d)) for _ in range(d))
+        family = []
         for y, y_label in enumerate(model.output_set.labels):
             matrix = model.pvm[i][y]
-            if matrix != gr_conj_transpose(matrix):
-                raise NotHermitianError(x_label, y_label)
-            if gr_mul(matrix, matrix) != matrix:
-                raise NotIdempotentError(x_label, y_label)
-            total = gr_add(total, matrix)
-        if total != gr_identity(d):
+            entries = [v for row in matrix for v in row]
+            den, parts = common_denominator(
+                [v.real for v in entries] + [v.imag for v in entries]
+            )
+            re, im = parts[:cells], parts[cells:]
+            for r in range(d):
+                for c in range(r, d):
+                    if re[r * d + c] != re[c * d + r] or im[r * d + c] != -im[c * d + r]:
+                        raise NotHermitianError(x_label, y_label)
+            # P * P == P, with A = den * P: A * A == den * A.
+            for r in range(d):
+                for c in range(d):
+                    real = imag = 0
+                    for k in range(d):
+                        ar, ai = re[r * d + k], im[r * d + k]
+                        br, bi = re[k * d + c], im[k * d + c]
+                        real += ar * br - ai * bi
+                        imag += ar * bi + ai * br
+                    if real != den * re[r * d + c] or imag != den * im[r * d + c]:
+                        raise NotIdempotentError(x_label, y_label)
+            family.append((den, parts))
+        total = math.lcm(*(den for den, _ in family))
+        summed = [
+            sum(parts[k] * (total // den) for den, parts in family) for k in range(2 * cells)
+        ]
+        identity = [total if k % (d + 1) == 0 else 0 for k in range(cells)] + [0] * cells
+        if summed != identity:
             raise NotCompleteError(x_label)
+        families.append(family)
+    return families
+
+
+def validate_quantum_model(model: QuantumModel) -> None:
+    """Check Hermiticity, idempotency and completeness, exactly."""
+    _integer_projections(model)
 
 
 def from_quantum_model(model: QuantumModel) -> Correlation:
     """Evaluate a projective strategy in the normalized trace.
 
     ``p(y_a, y_b | x_a, x_b) = trace(P[x_a][y_a] P[x_b][y_b]) / dimension``.
-    The model is validated exactly first.  The output is synchronous,
-    symmetric and nonsignaling.
+    The model is validated exactly first.  For Hermitian ``A`` and ``B``,
+    ``trace(A B)`` is the real number ``sum of A[i][j] * conj(B[i][j])``,
+    one integer dot product of the parts of each projection.  The output
+    is synchronous, symmetric and nonsignaling.
     """
-    validate_quantum_model(model)
+    families = _integer_projections(model)
     input_set = model.input_set
     output_set = model.output_set
-    d = Fraction(model.dimension)
-    rows = output_set.pair_count
-    cols = input_set.pair_count
-    matrix = [[ZERO] * cols for _ in range(rows)]
+    matrix = [[ZERO] * input_set.pair_count for _ in range(output_set.pair_count)]
     for xa, xb in input_set.pairs():
         c = input_set.pair_index(xa, xb)
         for ya, yb in output_set.pairs():
-            value = gr_trace_product(model.pvm[xa][ya], model.pvm[xb][yb])
-            if value.imag != 0:
-                raise ShapeMismatchError(
-                    "trace of a product of Hermitian operators must be real"
+            den_a, parts_a = families[xa][ya]
+            den_b, parts_b = families[xb][yb]
+            trace = sum(a * b for a, b in zip(parts_a, parts_b))
+            if trace:
+                matrix[output_set.pair_index(ya, yb)][c] = Fraction(
+                    trace, den_a * den_b * model.dimension
                 )
-            matrix[output_set.pair_index(ya, yb)][c] = value.real / d
-    return make_correlation(input_set, output_set, matrix)
+    return Correlation(input_set, output_set, tuple(tuple(row) for row in matrix))
 
 
 def quantum_model_to_json_dict(model: QuantumModel) -> dict:

@@ -19,6 +19,7 @@ point never appears.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +67,16 @@ def parse_rational(value, location: str) -> Fraction:
         return as_rational(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParseError(location, str(exc)) from None
+
+
+def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(d, [v * d for v in values])`` with ``d`` the lcm of the denominators.
+
+    The exact kernels clear denominators with this, compute in ``int``s and
+    build a ``Fraction`` only for each result entry.
+    """
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def format_rational(value: Fraction) -> str:
@@ -170,17 +181,15 @@ class Correlation:
                     f"expected {cols} columns for input set of size {self.input_set.size}, "
                     f"row {r} has {len(row)}"
                 )
-        for c in range(cols):
-            total = ZERO
-            for r in range(rows):
-                value = self.matrix[r][c]
+        for c, column in enumerate(zip(*self.matrix)):
+            for r, value in enumerate(column):
                 if not isinstance(value, Fraction):
                     raise TypeError(f"entry at ({r}, {c}) is {value!r}, not a Fraction")
-                if value < 0:
+                if value.numerator < 0:
                     raise NegativeEntryError(r, c, value)
-                total += value
-            if total != ONE:
-                raise ColumnSumNotOneError(c, total)
+            d, numerators = common_denominator(column)
+            if sum(numerators) != d:
+                raise ColumnSumNotOneError(c, Fraction(sum(numerators), d))
 
     def entry(self, y_a: str, y_b: str, x_a: str, x_b: str) -> Fraction:
         """``p(y_a, y_b | x_a, x_b)`` looked up by labels."""
@@ -419,11 +428,16 @@ def deserialize(text: str) -> Correlation:
     """Parse JSON text into a validated :class:`Correlation`.
 
     Structural problems raise :class:`ParseError` with the offending
-    location; violations of the correlation axioms re-raise the underlying
+    location, as do JSON nested too deeply to parse and bytes that are not
+    UTF-8; violations of the correlation axioms re-raise the underlying
     :func:`make_correlation` error unchanged.
     """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"<json>:{exc.lineno}:{exc.colno}", exc.msg) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError("<json>", str(exc)) from None
+    except RecursionError:
+        raise ParseError("<json>", "JSON nested too deeply") from None
     return from_json_dict(data)

@@ -64,6 +64,7 @@ from .corrcore import (
     KernelVector,
     PairDistribution,
     PairWeights,
+    common_denominator,
     format_rational,
     from_json_dict as correlation_from_json_dict,
     parse_labels,
@@ -186,36 +187,53 @@ def require_member(p, cat) -> CategoryTag:
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
-    matrix = [row[:] for row in rows]
+def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer ``rows``.
+
+    Returns ``(reduced, pivots, den)`` with the reduced row echelon form
+    equal to ``reduced[i][j] / den``: every pivot entry of ``reduced`` is
+    ``den``.  Each step sets ``row = (piv * row - f * pivot_row) // den``
+    for every other row and then ``den = piv``; Sylvester's identity makes
+    every division exact (Bareiss 1968).
+    """
+    matrix = list(rows)
     pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        pivot_row = None
-        for i in range(rank, len(matrix)):
-            if matrix[i][col] != 0:
-                pivot_row = i
-                break
+    den = 1
+    for col in range(len(matrix[0]) if matrix else 0):
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
         if pivot_row is None:
             continue
         matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        pivot = matrix[rank][col]
-        if pivot != 1:
-            matrix[rank] = [v / pivot for v in matrix[rank]]
-        for i in range(len(matrix)):
-            if i != rank and matrix[i][col] != 0:
-                factor = matrix[i][col]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
+        prow = matrix[rank]
+        piv = prow[col]
+        for i, row in enumerate(matrix):
+            if i == rank:
+                continue
+            f = row[col]
+            if f:
+                matrix[i] = [(piv * a - f * b) // den for a, b in zip(row, prow)]
+            elif piv != den:
+                matrix[i] = [piv * a // den for a in row]
         pivots.append(col)
-        rank += 1
-        if rank == len(matrix):
+        den = piv
+        if len(pivots) == len(matrix):
             break
-    return matrix[:rank], pivots
+    return matrix[: len(pivots)], pivots, den
 
 
-def _nullspace(rows: list[list[Fraction]], width: int) -> list[tuple[Fraction, ...]]:
-    """Canonical reduced-echelon nullspace basis, free columns ascending."""
-    rref, pivots = _rref(rows, width)
+def _nullspace(
+    rows: Sequence[Sequence[int]], scales: Sequence[int]
+) -> list[tuple[Fraction, ...]]:
+    """Canonical reduced-echelon nullspace basis, free columns ascending.
+
+    ``rows`` is an integer matrix whose column ``j`` is column ``j`` of the
+    rational matrix of interest times ``scales[j]``.  Undoing that scale,
+    that matrix's reduced echelon form has entry
+    ``reduced[i][j] * scales[pivot(i)] / (den * scales[j])``.
+    """
+    width = len(scales)
+    reduced, pivots, den = _rref(rows)
     pivot_set = set(pivots)
     basis = []
     for free in range(width):
@@ -223,29 +241,40 @@ def _nullspace(rows: list[list[Fraction]], width: int) -> list[tuple[Fraction, .
             continue
         vector = [ZERO] * width
         vector[free] = ONE
-        for i, pivot_col in enumerate(pivots):
-            vector[pivot_col] = -rref[i][free]
+        for row, pivot_col in zip(reduced, pivots):
+            if row[free]:
+                vector[pivot_col] = Fraction(
+                    -row[free] * scales[pivot_col], den * scales[free]
+                )
         basis.append(tuple(vector))
     return basis
 
 
+def _integer_columns(matrix: Sequence[Sequence[Fraction]]) -> tuple[tuple, tuple]:
+    """Each column of a rational ``matrix`` over its own lcm: ``(lcms, columns)``."""
+    return tuple(zip(*(common_denominator(column) for column in zip(*matrix))))
+
+
+def _right_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
+    scales, columns = _integer_columns(matrix)
+    return _nullspace(list(zip(*columns)), scales)
+
+
+def _left_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
+    # These solve ``M^T w = 0``.  Scaling a row of ``M^T`` (a column of
+    # ``M``) leaves its reduced echelon form unchanged: no scale is undone.
+    _, columns = _integer_columns(matrix)
+    return _nullspace(columns, (1,) * len(matrix))
+
+
 def right_nullspace_basis(p: Correlation) -> list[KernelVector]:
     """Vectors ``u`` with ``P u = 0``, indexed over input pairs."""
-    rows = [list(row) for row in p.matrix]
-    return [
-        KernelVector("right", p.input_set, v)
-        for v in _nullspace(rows, p.column_count)
-    ]
+    return [KernelVector("right", p.input_set, v) for v in _right_nullspace(p.matrix)]
 
 
 def left_nullspace_basis(p: Correlation) -> list[KernelVector]:
     """Vectors ``w`` with ``w P = 0``, indexed over output pairs."""
-    rows = [
-        [p.matrix[r][c] for r in range(p.row_count)] for c in range(p.column_count)
-    ]
-    return [
-        KernelVector("left", p.output_set, v) for v in _nullspace(rows, p.row_count)
-    ]
+    return [KernelVector("left", p.output_set, v) for v in _left_nullspace(p.matrix)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Test oracle: evaluate two chained quantum models on the tensor product.
+"""Test oracles for quantum models, on ``GaussianRational`` matrices.
 
-By theorem the result equals ``compose`` of the two evaluated models, so the
-library needs only :func:`~syncgames.from_quantum_model`; the tests use this
-direct evaluation to check that identity.
+:func:`validate_projections` and :func:`evaluate_quantum_model` are the
+projection checks and the trace formula written out with the ``gr_*``
+helpers, references for the library's integer validation and evaluation.
+:func:`compose_quantum_models` evaluates two chained models on the tensor
+product; by theorem the result equals ``compose`` of the two evaluated
+models, so the library needs only :func:`~syncgames.from_quantum_model`.
 """
 
 from fractions import Fraction
@@ -12,12 +15,18 @@ from syncgames import (
     QuantumModel,
     SetMismatchError,
     ShapeMismatchError,
+    gaussian,
     gr_add,
+    gr_conj_transpose,
+    gr_identity,
     gr_kron,
+    gr_matrix,
+    gr_mul,
     gr_trace_product,
     make_correlation,
     validate_quantum_model,
 )
+from syncgames.errors import NotCompleteError, NotHermitianError, NotIdempotentError
 
 ZERO = Fraction(0)
 
@@ -53,13 +62,41 @@ def compose_quantum_models(outer: QuantumModel, inner: QuantumModel) -> Correlat
                 total = term if total is None else gr_add(total, term)
             row.append(total)
         effects.append(row)
+    return _trace_correlation(input_set, output_set, effects, dim)
+
+
+def validate_projections(model: QuantumModel) -> None:
+    """Hermiticity, idempotency and completeness, in the library's order."""
+    d = model.dimension
+    for i, x_label in enumerate(model.input_set.labels):
+        total = gr_matrix([[gaussian(0)] * d for _ in range(d)])
+        for y, y_label in enumerate(model.output_set.labels):
+            matrix = model.pvm[i][y]
+            if matrix != gr_conj_transpose(matrix):
+                raise NotHermitianError(x_label, y_label)
+            if gr_mul(matrix, matrix) != matrix:
+                raise NotIdempotentError(x_label, y_label)
+            total = gr_add(total, matrix)
+        if total != gr_identity(d):
+            raise NotCompleteError(x_label)
+
+
+def evaluate_quantum_model(model: QuantumModel) -> Correlation:
+    """``trace(P[xa][ya] P[xb][yb]) / d`` for every entry, in ``GaussianRational``s."""
+    validate_projections(model)
+    return _trace_correlation(
+        model.input_set, model.output_set, model.pvm, Fraction(model.dimension)
+    )
+
+
+def _trace_correlation(input_set, output_set, operators, dim) -> Correlation:
     rows = output_set.pair_count
     cols = input_set.pair_count
     matrix = [[ZERO] * cols for _ in range(rows)]
     for xa, xb in input_set.pairs():
         c = input_set.pair_index(xa, xb)
         for za, zb in output_set.pairs():
-            value = gr_trace_product(effects[xa][za], effects[xb][zb])
+            value = gr_trace_product(operators[xa][za], operators[xb][zb])
             if value.imag != 0:
                 raise ShapeMismatchError(
                     "trace of a product of Hermitian operators must be real"

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncgames import (
     DeterministicPair,
@@ -24,6 +26,7 @@ from syncgames import (
     two_input_nonsignaling,
 )
 from syncgames import category
+from syncgames.corrcore import ZERO
 from syncgames.errors import NotSynchronousError, SetMismatchError
 
 B = finite_set(["0", "1"])
@@ -57,22 +60,46 @@ def test_negation_composes_to_identity():
     assert compose(negation, negation) == identity(B)
 
 
-def test_compose_matches_double_sum():
-    for seed in range(5):
-        p = random_correlation("synchronous", B, T, seed)
-        q = random_correlation("synchronous", T, T, seed + 100)
-        composed = compose(q, p)
-        for za in range(3):
-            for zb in range(3):
-                for xa in range(2):
-                    for xb in range(2):
-                        total = F(0)
-                        for ya in range(3):
-                            for yb in range(3):
-                                total += q.entry_by_index(
-                                    za, zb, ya, yb
-                                ) * p.entry_by_index(ya, yb, xa, xb)
-                        assert composed.entry_by_index(za, zb, xa, xb) == total
+_LARGE_PRIMES = (1000003, 1000033, 2**31 - 1, 2**61 - 1)
+
+
+@st.composite
+def correlations(draw, input_set, output_set):
+    """Correlations with zero entries and large prime-based denominators."""
+    weight = st.one_of(
+        st.just(F(0)),
+        st.integers(1, 5).map(F),
+        st.builds(F, st.integers(1, 10**6), st.sampled_from(_LARGE_PRIMES)),
+    )
+    columns = []
+    for _ in range(input_set.pair_count):
+        column = [draw(weight) for _ in range(output_set.pair_count)]
+        total = sum(column, F(0))
+        if total == 0:
+            column[draw(st.integers(0, len(column) - 1))] = total = F(1)
+        columns.append([v / total for v in column])
+    return make_correlation(input_set, output_set, [list(row) for row in zip(*columns)])
+
+
+@st.composite
+def composable_pairs(draw):
+    x, y, z = (draw(st.sampled_from([B, T])) for _ in range(3))
+    return draw(correlations(y, z)), draw(correlations(x, y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(composable_pairs())
+def test_compose_matches_double_sum(pair):
+    q, p = pair
+    composed = compose(q, p)
+    for za, zb in q.output_set.pairs():
+        for xa, xb in p.input_set.pairs():
+            total = F(0)
+            for ya, yb in p.output_set.pairs():
+                total += q.entry_by_index(za, zb, ya, yb) * p.entry_by_index(ya, yb, xa, xb)
+            value = composed.entry_by_index(za, zb, xa, xb)
+            assert value == total
+            assert value != 0 or value is ZERO
 
 
 def test_compose_set_mismatch():

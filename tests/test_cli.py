@@ -511,6 +511,27 @@ def test_malformed_json_is_parse_error(tmp_path, capsys):
     assert stderr_kind(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000, b"\xff{}"],
+    ids=["nested-100000-deep", "not-utf-8"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["boole", "transform", "--direction", "p2w"]],
+    ids=["classify", "boole-transform"],
+)
+def test_unreadable_json_is_one_parse_error_line(tmp_path, capsys, content, argv):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv[:2], str(path), *argv[2:])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ParseError"
+
+
 def test_wrong_shape_json_is_parse_error(tmp_path, capsys):
     path = write_json(tmp_path, "odd.json", {"labels": []})
     code, _, err = run(capsys, "classify", path)

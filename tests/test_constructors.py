@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncgames import (
     ClassicalModel,
@@ -46,8 +48,9 @@ from syncgames import (
     validate_quantum_model,
 )
 
-from quantum_oracle import compose_quantum_models
+from quantum_oracle import compose_quantum_models, evaluate_quantum_model, validate_projections
 from syncgames.constructors import _random_unitary
+from syncgames.corrcore import ZERO
 from syncgames.errors import (
     ConditionViolatedError,
     DomainTooSmallError,
@@ -283,6 +286,13 @@ def test_quantum_validation_order():
     with pytest.raises(NotCompleteError) as info:
         validate_quantum_model(QuantumModel(B, B, 2, (incomplete, DIAG_PVM)))
     assert info.value.input_label == "0"
+
+    # real parts sum to the identity, imaginary parts do not cancel
+    half_i = gaussian(0, F(1, 2))
+    twisted = gr_matrix([[HALF, half_i], [-half_i, HALF]])
+    with pytest.raises(NotCompleteError) as info:
+        validate_quantum_model(QuantumModel(B, B, 2, (DIAG_PVM, (twisted, twisted))))
+    assert info.value.input_label == "1"
 
 
 def test_quantum_conjugated_basis_example():
@@ -594,6 +604,64 @@ def test_random_quantum_model_validates_and_evaluates():
         assert is_synchronous(p) and is_symmetric(p) and is_nonsignaling(p)
         again = random_quantum_model(B, B, d, seed)
         assert from_quantum_model(again) == p
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([(B, B), (B, T), (T, B), (T, T)]),
+    st.integers(2, 4),
+    st.integers(0, 2**31 - 1),
+)
+def test_integer_quantum_evaluation_equals_the_trace_oracle(sets, d, seed):
+    model = random_quantum_model(*sets, d, seed)
+    p = from_quantum_model(model)
+    assert p == evaluate_quantum_model(model)
+    assert all(v is ZERO for row in p.matrix for v in row if v == 0)
+
+
+def _replace_projection(model, x, y, matrix):
+    pvm = [list(family) for family in model.pvm]
+    pvm[x][y] = gr_matrix(matrix)
+    return QuantumModel(
+        model.input_set, model.output_set, model.dimension, tuple(map(tuple, pvm))
+    )
+
+
+def _raised(check, model):
+    try:
+        check(model)
+    except (NotHermitianError, NotIdempotentError, NotCompleteError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_broken_projections_raise_the_reference_errors():
+    third = gaussian(F(1, 3))
+    breaks = {
+        "skew": lambda m, r, c: gaussian(m[r][c].real, m[r][c].imag + F(1, 7))
+        if (r, c) == (0, 1)
+        else m[r][c],
+        "double": lambda m, r, c: m[r][c] + m[r][c],
+        "zero": lambda m, r, c: gaussian(0),
+        "shift": lambda m, r, c: m[r][c] + third if r == c else m[r][c],
+    }
+    seen = set()
+    rng = random.Random(11)
+    for d in (2, 3, 4):
+        for seed in range(4):
+            model = random_quantum_model(T, T, d, seed)
+            for name, change in breaks.items():
+                x, y = rng.randrange(3), rng.randrange(3)
+                original = model.pvm[x][y]
+                matrix = [[change(original, r, c) for c in range(d)] for r in range(d)]
+                broken = _replace_projection(model, x, y, matrix)
+                expected = _raised(validate_projections, broken)
+                assert _raised(validate_quantum_model, broken) == expected
+                if expected is not None:
+                    with pytest.raises(expected[0]):
+                        from_quantum_model(broken)
+                    seen.add(expected[0])
+    assert seen == {NotHermitianError, NotIdempotentError, NotCompleteError}
 
 
 def test_compose_quantum_models_matches_effect_formula():

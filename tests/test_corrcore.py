@@ -168,6 +168,13 @@ def test_deserialize_bad_json_is_parse_error_with_location():
     assert info.value.location.startswith("<json>")
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, b"\xff{}"], ids=["deep", "not-utf-8"])
+def test_deserialize_unreadable_json_is_parse_error(text):
+    with pytest.raises(ParseError) as info:
+        deserialize(text)
+    assert info.value.location == "<json>"
+
+
 def test_deserialize_bad_rational_is_parse_error():
     text = '{"input_set": ["0"], "output_set": ["0"], "entries": [["one"]]}'
     with pytest.raises(ParseError) as info:

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncgames import (
     CategoryTag,
@@ -39,6 +42,8 @@ from syncgames import (
     witness_from_json_dict,
     witness_to_json_dict,
 )
+from syncgames import morphology
+from syncgames.corrcore import ZERO
 from syncgames.errors import (
     NotARetractionError,
     NotASectionError,
@@ -136,6 +141,57 @@ def vectors_kill_matrix(p, basis, side):
         assert all(value == 0 for value in product)
 
 
+def reference_rref(rows, width):
+    """Gauss-Jordan over ``Fraction``s: the library's elimination before it ran in integers."""
+    matrix = [row[:] for row in rows]
+    pivots = []
+    rank = 0
+    for col in range(width):
+        pivot_row = None
+        for i in range(rank, len(matrix)):
+            if matrix[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
+        pivot = matrix[rank][col]
+        if pivot != 1:
+            matrix[rank] = [v / pivot for v in matrix[rank]]
+        for i in range(len(matrix)):
+            if i != rank and matrix[i][col] != 0:
+                factor = matrix[i][col]
+                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(matrix):
+            break
+    return matrix[:rank], pivots
+
+
+def reference_nullspace(rows, width):
+    """Canonical reduced-echelon nullspace basis, free columns ascending."""
+    rref, pivots = reference_rref([list(row) for row in rows], width)
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        vector = [F(0)] * width
+        vector[free] = F(1)
+        for i, pivot_col in enumerate(pivots):
+            vector[pivot_col] = -rref[i][free]
+        basis.append(tuple(vector))
+    return basis
+
+
+def transpose(matrix):
+    return [list(column) for column in zip(*matrix)]
+
+
+def zeros_are_shared(vectors):
+    return all(v is ZERO for vector in vectors for v in vector if v == 0)
+
+
 def test_nullspaces_match_sympy_oracle():
     fixtures = [CONST_ZERO, HALF_DIAGONAL, CYCLIC, UNIFORM, SIGNALING, identity(T)]
     for seed in range(6):
@@ -145,6 +201,9 @@ def test_nullspaces_match_sympy_oracle():
         m = as_sympy(p)
         right = right_nullspace_basis(p)
         left = left_nullspace_basis(p)
+        assert [k.entries for k in right] == reference_nullspace(p.matrix, p.column_count)
+        assert [k.entries for k in left] == reference_nullspace(transpose(p.matrix), p.row_count)
+        assert zeros_are_shared(k.entries for k in right + left)
         assert len(right) == len(m.nullspace())
         assert len(left) == len(m.T.nullspace())
         vectors_kill_matrix(p, right, "right")
@@ -159,6 +218,74 @@ def test_nullspaces_match_sympy_oracle():
         if left:
             stacked = sympy.Matrix([[sympy.Rational(v) for v in k.entries] for k in left])
             assert stacked.rank() == len(left)
+
+
+_LARGE_PRIMES = (1000003, 1000033, 1000037, 2**31 - 1, 2**61 - 1)
+
+_CELLS = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 3).map(F),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(F, st.integers(-(10**6), 10**6), st.sampled_from(_LARGE_PRIMES)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices, often rank-deficient, with zero rows and columns."""
+    height = draw(st.integers(1, 7))
+    width = draw(st.integers(1, 7))
+    matrix = [[draw(_CELLS) for _ in range(width)] for _ in range(height)]
+    if height > 2 and draw(st.booleans()):
+        a, b, c = draw(st.permutations(range(height)))[:3]
+        s, t = draw(_CELLS), draw(_CELLS)
+        matrix[c] = [s * x + t * y for x, y in zip(matrix[a], matrix[b])]
+    if draw(st.booleans()):
+        matrix[draw(st.integers(0, height - 1))] = [F(0)] * width
+    if draw(st.booleans()):
+        col = draw(st.integers(0, width - 1))
+        for row in matrix:
+            row[col] = F(0)
+    return matrix
+
+
+def check_both_nullspaces(matrix):
+    height, width = len(matrix), len(matrix[0])
+    right = morphology._right_nullspace(matrix)
+    left = morphology._left_nullspace(matrix)
+    assert right == reference_nullspace(matrix, width)
+    assert left == reference_nullspace(transpose(matrix), height)
+    assert zeros_are_shared(right + left)
+    rank = sympy.Matrix(matrix).rank()
+    assert (len(right), len(left)) == (width - rank, height - rank)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_integer_nullspaces_equal_the_fraction_reference(matrix):
+    check_both_nullspaces(matrix)
+
+
+def test_integer_nullspaces_with_distinct_large_prime_denominators():
+    primes = [sympy.prime(k) for k in range(100000, 100036)]
+    rng = random.Random(5)
+    full = [
+        [F(rng.randrange(-(10**9), 10**9), primes[6 * r + c]) for c in range(6)]
+        for r in range(6)
+    ]
+    assert sympy.Matrix(full).rank() == 6
+    check_both_nullspaces(full)
+    # rank 3: a 6 x 3 times 3 x 6 product, then negated in one column
+    low = [
+        [sum((full[r][k] * full[k + 3][c] for k in range(3)), F(0)) for c in range(6)]
+        for r in range(6)
+    ]
+    for row in low:
+        row[2] = -row[2]
+    assert sympy.Matrix(low).rank() == 3
+    check_both_nullspaces(low)
+    check_both_nullspaces([row[:4] for row in full])
+    check_both_nullspaces(full[:4])
 
 
 # ---------------------------------------------------------------------------
