@@ -13,16 +13,17 @@ Two coordinate systems are used for a vector of length ``2**n``:
 
 The change of basis in either direction factors into ``n`` single-bit
 passes, so it costs ``O(n * 2**n)`` and no ``2**n x 2**n`` matrix is ever
-materialized.  Everything is exact rational arithmetic.
+materialized.  Everything is exact: the passes run on the integer
+numerators over one common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .corrcore import ONE, ZERO, PairWeights, as_rational, format_rational
+from .corrcore import ONE, ZERO, PairWeights, as_rational, common_denominator, format_rational
 from .errors import (
     NotNormalizedAtEmptySetError,
     NotSymmetricError,
@@ -60,23 +61,34 @@ class BooleVector:
                 f"need 2**{self.n} entries for n = {self.n}, got {length}"
             )
         if self.interpretation == ATOMS:
-            total = ZERO
-            for j, value in enumerate(self.entries):
-                if value < 0:
-                    raise WeightsNotNormalizedError(f"atom {j} has negative mass {value}")
-                total += value
-            if total != ONE:
-                raise WeightsNotNormalizedError(f"atoms sum to {total}, expected 1")
+            j = _first_negative(self.entries)
+            if j is not None:
+                raise WeightsNotNormalizedError(
+                    f"atom {j} has negative mass {self.entries[j]}"
+                )
+            d, numerators = common_denominator(self.entries)
+            total = sum(numerators)
+            if total != d:
+                raise WeightsNotNormalizedError(
+                    f"atoms sum to {Fraction(total, d)}, expected 1"
+                )
         elif self.interpretation == INTERSECTIONS:
             if self.entries[0] != ONE:
                 raise NotNormalizedAtEmptySetError(
                     f"empty intersection has probability {self.entries[0]}, expected 1"
                 )
-            for j, value in enumerate(self.entries):
-                if value < 0:
-                    raise OutOfRangeError(f"intersection {j} has negative probability {value}")
+            j = _first_negative(self.entries)
+            if j is not None:
+                raise OutOfRangeError(
+                    f"intersection {j} has negative probability {self.entries[j]}"
+                )
         else:
             raise ValueError(f"unknown interpretation {self.interpretation!r}")
+
+
+def _first_negative(values: Sequence[Fraction]) -> Optional[int]:
+    """Index of the first negative value: the denominators are positive."""
+    return next((j for j, v in enumerate(values) if v.numerator < 0), None)
 
 
 def boole_vector(n: int, interpretation: str, entries: Sequence) -> BooleVector:
@@ -109,6 +121,26 @@ def measure_to_atoms(mu: Mapping[tuple[int, ...], object], n: int) -> BooleVecto
     return BooleVector(n, ATOMS, tuple(entries))
 
 
+def _passes(v: BooleVector, sign: int) -> tuple[int, list[int]]:
+    """``(d, numerators)`` of ``v`` after one pass per event.
+
+    Each pass adds ``sign`` times entry ``j + 2**l`` to entry ``j`` for
+    every ``j`` without bit ``l``; it runs on the numerators over the common
+    denominator ``d``.
+    """
+    d, values = common_denominator(v.entries)
+    for l in range(v.n):
+        bit = 1 << l
+        for start in range(0, len(values), 2 * bit):
+            for j in range(start, start + bit):
+                values[j] += sign * values[j + bit]
+    return d, values
+
+
+def _fractions(d: int, numerators: Sequence[int]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v, d) if v else ZERO for v in numerators)
+
+
 def atoms_to_intersections(p: BooleVector) -> BooleVector:
     """Map atom probabilities to intersection probabilities.
 
@@ -117,13 +149,8 @@ def atoms_to_intersections(p: BooleVector) -> BooleVector:
     """
     if p.interpretation != ATOMS:
         raise ValueError("expected an atoms vector")
-    values = list(p.entries)
-    for l in range(p.n):
-        bit = 1 << l
-        for j in range(1 << p.n):
-            if not j & bit:
-                values[j] = values[j] + values[j | bit]
-    return BooleVector(p.n, INTERSECTIONS, tuple(values))
+    d, values = _passes(p, 1)
+    return BooleVector(p.n, INTERSECTIONS, _fractions(d, values))
 
 
 @dataclass(frozen=True)
@@ -158,14 +185,9 @@ def intersections_to_atoms(w: BooleVector) -> AtomReconstruction:
     """
     if w.interpretation != INTERSECTIONS:
         raise ValueError("expected an intersections vector")
-    values = list(w.entries)
-    for l in range(w.n):
-        bit = 1 << l
-        for j in range(1 << w.n):
-            if not j & bit:
-                values[j] = values[j] - values[j | bit]
+    d, values = _passes(w, -1)
     negative = tuple(j for j, v in enumerate(values) if v < 0)
-    return AtomReconstruction(w.n, tuple(values), not negative, negative)
+    return AtomReconstruction(w.n, _fractions(d, values), not negative, negative)
 
 
 def pair_bounds(a, b) -> tuple[Fraction, Fraction]:

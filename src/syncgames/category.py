@@ -62,30 +62,27 @@ def is_synchronous(p: Correlation) -> bool:
 
 
 def is_nonsignaling(p: Correlation) -> bool:
-    """Each player's marginal is independent of the other player's input."""
-    nx = p.input_set.size
+    """Each player's marginal is independent of the other player's input.
+
+    Each column is cleared over its own lcm ``d`` and its two marginals are
+    summed in ``int``s.  Column ``(xa, xb)`` is compared with ``(xa, 0)``
+    and ``(0, xb)``, both already seen in index order, by cross-multiplying
+    with the other column's ``d``.
+    """
     ny = p.output_set.size
-
-    def a_marginal(ya: int, xa: int, xb: int) -> Fraction:
-        c = p.input_set.pair_index(xa, xb)
-        return sum((p.matrix[p.output_set.pair_index(ya, yb)][c] for yb in range(ny)), ZERO)
-
-    def b_marginal(yb: int, xa: int, xb: int) -> Fraction:
-        c = p.input_set.pair_index(xa, xb)
-        return sum((p.matrix[p.output_set.pair_index(ya, yb)][c] for ya in range(ny)), ZERO)
-
-    for ya in range(ny):
-        for xa in range(nx):
-            reference = a_marginal(ya, xa, 0)
-            for xb in range(1, nx):
-                if a_marginal(ya, xa, xb) != reference:
-                    return False
-    for yb in range(ny):
-        for xb in range(nx):
-            reference = b_marginal(yb, 0, xb)
-            for xa in range(1, nx):
-                if b_marginal(yb, xa, xb) != reference:
-                    return False
+    marginals = []
+    for c, column in enumerate(zip(*p.matrix)):
+        d, nums = common_denominator(column)
+        rows = [nums[ya * ny : (ya + 1) * ny] for ya in range(ny)]
+        a, b = [sum(row) for row in rows], [sum(col) for col in zip(*rows)]
+        marginals.append((d, a, b))
+        xa, xb = p.input_set.pair_of(c)
+        d_a, a_ref, _ = marginals[p.input_set.pair_index(xa, 0)]
+        d_b, _, b_ref = marginals[p.input_set.pair_index(0, xb)]
+        if any(u * d_a != v * d for u, v in zip(a, a_ref)):
+            return False
+        if any(u * d_b != v * d for u, v in zip(b, b_ref)):
+            return False
     return True
 
 

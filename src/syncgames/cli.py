@@ -29,7 +29,6 @@ from .boole import (
     INTERSECTIONS,
     BooleVector,
     atoms_to_intersections,
-    boole_vector,
     intersections_to_atoms,
     pair_bounds,
     triple_bounds,
@@ -178,8 +177,8 @@ def _load_boole_vector(path: str) -> BooleVector:
     raw = data.get("entries")
     if not isinstance(raw, list):
         raise ParseError("entries", "expected a list")
-    entries = [parse_rational(cell, f"entries[{j}]") for j, cell in enumerate(raw)]
-    return boole_vector(n, interpretation, entries)
+    entries = tuple(parse_rational(cell, f"entries[{j}]") for j, cell in enumerate(raw))
+    return BooleVector(n, interpretation, entries)
 
 
 def _boole_vector_json(vec: BooleVector) -> dict:
@@ -693,9 +692,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, on import: no default depends on state that can change between
+# calls (the size guard reads SYNCGAMES_MAX_SIZE when a command runs).
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

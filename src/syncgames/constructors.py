@@ -273,68 +273,11 @@ class GaussianRational:
         return self.real == 0 and self.imag == 0
 
 
-GR_ZERO = GaussianRational(ZERO, ZERO)
-GR_ONE = GaussianRational(ONE, ZERO)
-GR_I = GaussianRational(ZERO, ONE)
-
 GaussianMatrix = tuple  # tuple of row tuples of GaussianRational
 
 
 def gaussian(re, im=0) -> GaussianRational:
     return GaussianRational(as_rational(re), as_rational(im))
-
-
-def gr_matrix(rows: Sequence[Sequence[GaussianRational]]) -> GaussianMatrix:
-    return tuple(tuple(row) for row in rows)
-
-
-def gr_identity(d: int) -> GaussianMatrix:
-    return tuple(
-        tuple(GR_ONE if i == j else GR_ZERO for j in range(d)) for i in range(d)
-    )
-
-
-def gr_add(a: GaussianMatrix, b: GaussianMatrix) -> GaussianMatrix:
-    return tuple(
-        tuple(x + y for x, y in zip(row_a, row_b)) for row_a, row_b in zip(a, b)
-    )
-
-
-def gr_mul(a: GaussianMatrix, b: GaussianMatrix) -> GaussianMatrix:
-    size_inner = len(b)
-    cols = len(b[0])
-    return tuple(
-        tuple(
-            sum((row_a[k] * b[k][c] for k in range(size_inner)), GR_ZERO)
-            for c in range(cols)
-        )
-        for row_a in a
-    )
-
-
-def gr_conj_transpose(a: GaussianMatrix) -> GaussianMatrix:
-    rows = len(a)
-    cols = len(a[0])
-    return tuple(tuple(a[r][c].conjugate() for r in range(rows)) for c in range(cols))
-
-
-def gr_kron(a: GaussianMatrix, b: GaussianMatrix) -> GaussianMatrix:
-    da = len(a)
-    db = len(b)
-    return tuple(
-        tuple(a[i // db][j // db] * b[i % db][j % db] for j in range(da * db))
-        for i in range(da * db)
-    )
-
-
-def gr_trace_product(a: GaussianMatrix, b: GaussianMatrix) -> GaussianRational:
-    """``trace(a @ b)`` without forming the product matrix."""
-    d = len(a)
-    total = GR_ZERO
-    for i in range(d):
-        for j in range(d):
-            total = total + a[i][j] * b[j][i]
-    return total
 
 
 @dataclass(frozen=True)
@@ -836,18 +779,27 @@ def random_correlation(
     raise ValueError(f"unknown kind {kind!r}; expected one of {RANDOM_KINDS}")
 
 
-def _random_unitary(dimension: int, rng: random.Random) -> GaussianMatrix:
-    """An exact unitary built from rational rotations and fourth-root phases."""
-    u = gr_identity(dimension)
-    powers = (GR_ONE, GR_I, -GR_ONE, -GR_I)
+def _unitary_parts(dimension: int, rng: random.Random) -> tuple[int, list, list]:
+    """``(den, re, im)``: the rows of an exact random unitary ``(re + i im) / den``.
+
+    Starting from the identity, each of ``dimension ** 2`` steps multiplies
+    every row by a random fourth root of unity, then rotates two random rows
+    by the angle of a Pythagorean triple ``(a, b, c)``: rows ``i < j`` become
+    ``a u_i - b u_j`` and ``b u_i + a u_j``, every other row is multiplied by
+    ``c``, and so is ``den``.
+    """
+    re = [[int(r == c) for c in range(dimension)] for r in range(dimension)]
+    im = [[0] * dimension for _ in range(dimension)]
+    den = 1
     for _ in range(dimension * dimension):
-        phase_row = tuple(
-            tuple(
-                powers[rng.randrange(4)] if r == c else GR_ZERO for c in range(dimension)
-            )
-            for r in range(dimension)
-        )
-        u = gr_mul(phase_row, u)
+        for r in range(dimension):
+            k = rng.randrange(4)
+            if k == 1:
+                re[r], im[r] = [-v for v in im[r]], re[r]
+            elif k == 2:
+                re[r], im[r] = [-v for v in re[r]], [-v for v in im[r]]
+            elif k == 3:
+                re[r], im[r] = im[r], [-v for v in re[r]]
         if dimension < 2:
             continue
         i = rng.randrange(dimension)
@@ -858,18 +810,23 @@ def _random_unitary(dimension: int, rng: random.Random) -> GaussianMatrix:
         a, b, c = rng.choice(_PYTHAGOREAN_TRIPLES)
         if rng.randrange(2):
             a, b = b, a
-        cos = GaussianRational(Fraction(a, c))
-        sin = GaussianRational(Fraction(b, c))
-        rotation = [
-            [GR_ONE if r == s else GR_ZERO for s in range(dimension)]
-            for r in range(dimension)
-        ]
-        rotation[i][i] = cos
-        rotation[i][j] = -sin
-        rotation[j][i] = sin
-        rotation[j][j] = cos
-        u = gr_mul(gr_matrix(rotation), u)
-    return u
+        for rows in (re, im):
+            row_i, row_j = rows[i], rows[j]
+            for r in range(dimension):
+                rows[r] = [c * v for v in rows[r]]
+            rows[i] = [a * x - b * y for x, y in zip(row_i, row_j)]
+            rows[j] = [b * x + a * y for x, y in zip(row_i, row_j)]
+        den *= c
+    return den, re, im
+
+
+def _random_unitary(dimension: int, rng: random.Random) -> GaussianMatrix:
+    """An exact unitary built from rational rotations and fourth-root phases."""
+    den, re, im = _unitary_parts(dimension, rng)
+    return tuple(
+        tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(*rows))
+        for rows in zip(re, im)
+    )
 
 
 def random_quantum_model(
@@ -877,27 +834,39 @@ def random_quantum_model(
 ) -> QuantumModel:
     """A seeded random projective strategy with exact Gaussian rational entries.
 
-    Each input gets a random exact unitary conjugating a random diagonal
-    0/1 partition of the basis into output groups.  When ``dimension`` is
-    at least ``|Y|`` every output receives a nonzero projection.
+    Each input gets a random exact unitary ``u`` and a random partition of
+    the basis into output groups; the projection of an output is the sum of
+    ``u[:, l] u[:, l]^*`` over the columns ``l`` of its group, computed on
+    the integer parts of ``u`` over ``den ** 2``.  When ``dimension`` is at
+    least ``|Y|`` every output receives a nonzero projection.
     """
     rng = random.Random(seed)
     ny = output_set.size
+    indices = range(dimension)
     families = []
     for _ in range(input_set.size):
-        assignment = [l % ny for l in range(dimension)]
+        assignment = [l % ny for l in indices]
         rng.shuffle(assignment)
-        u = _random_unitary(dimension, rng)
-        u_dag = gr_conj_transpose(u)
+        den, re, im = _unitary_parts(dimension, rng)
+        scale = den * den
+
+        def entry(value: int) -> Fraction:
+            return Fraction(value, scale) if value else ZERO
+
         family = []
         for y in range(ny):
-            diag = tuple(
+            group = [l for l in indices if assignment[l] == y]
+            family.append(
                 tuple(
-                    (GR_ONE if (r == c and assignment[r] == y) else GR_ZERO)
-                    for c in range(dimension)
+                    tuple(
+                        GaussianRational(
+                            entry(sum(re[r][l] * re[s][l] + im[r][l] * im[s][l] for l in group)),
+                            entry(sum(im[r][l] * re[s][l] - re[r][l] * im[s][l] for l in group)),
+                        )
+                        for s in indices
+                    )
+                    for r in indices
                 )
-                for r in range(dimension)
             )
-            family.append(gr_mul(gr_mul(u, diag), u_dag))
         families.append(tuple(family))
     return QuantumModel(input_set, output_set, dimension, tuple(families))

@@ -40,9 +40,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # The text form of a rational: an optional sign, then ``n`` or ``n/d`` in
-# decimal digits.  ``Fraction`` also reads decimals and exponents, and
-# expands an exponent such as ``1e999999999`` into a power of ten.
-_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# decimal digits.  ``Fraction`` would also read decimals and exponents, and
+# expand an exponent such as ``1e999999999`` into a power of ten, so the
+# groups are read with ``int`` instead.
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_rational(value) -> Fraction:
@@ -54,10 +55,14 @@ def as_rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    if isinstance(value, str):
+        match = _RATIONAL_TEXT.fullmatch(value)
+        if match is None:
+            raise ValueError(f"{value!r} is not a rational of the form n or n/d")
+        numerator, denominator = match.groups()
+        return Fraction(int(numerator), int(denominator or 1))
+    if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"cannot interpret {value!r} as an exact rational")
-    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value) is None:
-        raise ValueError(f"{value!r} is not a rational of the form n or n/d")
     return Fraction(value)
 
 

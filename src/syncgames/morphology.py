@@ -760,11 +760,16 @@ def is_bimorphism(p, cat) -> bool:
 
 
 def is_isomorphism(p, cat) -> bool:
-    """Invertible in the category: a shared deterministic bijection."""
+    """Invertible in the category: a section and a retraction at once.
+
+    A morphism with a left and a right inverse is invertible, the two
+    inverses being equal.  Outside ``S`` this means a shared deterministic
+    bijection; in ``S`` it is a deterministic pair mapping input pairs one
+    to one onto output pairs and the diagonal onto the diagonal, such as
+    the player swap ``(a, b) -> (b, a)``.
+    """
     a = analyze(p)
-    require_member(a, cat)
-    size = a.p.input_set.size
-    return size == a.p.output_set.size and _function_hits(a, size)
+    return is_section(a, cat) and is_retraction(a, cat)
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,152 @@
 """Test oracles for quantum models, on ``GaussianRational`` matrices.
 
-:func:`validate_projections` and :func:`evaluate_quantum_model` are the
-projection checks and the trace formula written out with the ``gr_*``
-helpers, references for the library's integer validation and evaluation.
+The ``gr_*`` helpers are plain matrix algebra on ``GaussianRational``
+entries.  :func:`validate_projections` and :func:`evaluate_quantum_model`
+are the projection checks and the trace formula written out with them,
+references for the library's integer validation and evaluation, and
+:func:`reference_random_quantum_model` is the seeded generator written as
+full matrix products, the reference for the library's row operations.
 :func:`compose_quantum_models` evaluates two chained models on the tensor
 product; by theorem the result equals ``compose`` of the two evaluated
 models, so the library needs only :func:`~syncgames.from_quantum_model`.
 """
 
+import random
 from fractions import Fraction
+from typing import Sequence
 
 from syncgames import (
     Correlation,
+    GaussianRational,
     QuantumModel,
     SetMismatchError,
     ShapeMismatchError,
     gaussian,
-    gr_add,
-    gr_conj_transpose,
-    gr_identity,
-    gr_kron,
-    gr_matrix,
-    gr_mul,
-    gr_trace_product,
     make_correlation,
     validate_quantum_model,
 )
+from syncgames.constructors import _PYTHAGOREAN_TRIPLES
 from syncgames.errors import NotCompleteError, NotHermitianError, NotIdempotentError
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
+
+GR_ZERO = GaussianRational(ZERO, ZERO)
+GR_ONE = GaussianRational(ONE, ZERO)
+GR_I = GaussianRational(ZERO, ONE)
+
+
+def gr_matrix(rows: Sequence[Sequence[GaussianRational]]) -> tuple:
+    return tuple(tuple(row) for row in rows)
+
+
+def gr_identity(d: int) -> tuple:
+    return tuple(
+        tuple(GR_ONE if i == j else GR_ZERO for j in range(d)) for i in range(d)
+    )
+
+
+def gr_add(a, b) -> tuple:
+    return tuple(
+        tuple(x + y for x, y in zip(row_a, row_b)) for row_a, row_b in zip(a, b)
+    )
+
+
+def gr_mul(a, b) -> tuple:
+    size_inner = len(b)
+    cols = len(b[0])
+    return tuple(
+        tuple(
+            sum((row_a[k] * b[k][c] for k in range(size_inner)), GR_ZERO)
+            for c in range(cols)
+        )
+        for row_a in a
+    )
+
+
+def gr_conj_transpose(a) -> tuple:
+    rows = len(a)
+    cols = len(a[0])
+    return tuple(tuple(a[r][c].conjugate() for r in range(rows)) for c in range(cols))
+
+
+def gr_kron(a, b) -> tuple:
+    da = len(a)
+    db = len(b)
+    return tuple(
+        tuple(a[i // db][j // db] * b[i % db][j % db] for j in range(da * db))
+        for i in range(da * db)
+    )
+
+
+def gr_trace_product(a, b) -> GaussianRational:
+    """``trace(a @ b)`` without forming the product matrix."""
+    d = len(a)
+    total = GR_ZERO
+    for i in range(d):
+        for j in range(d):
+            total = total + a[i][j] * b[j][i]
+    return total
+
+
+def reference_random_unitary(dimension: int, rng: random.Random) -> tuple:
+    """The unitary of the seeded generator, as products of full matrices."""
+    u = gr_identity(dimension)
+    powers = (GR_ONE, GR_I, -GR_ONE, -GR_I)
+    for _ in range(dimension * dimension):
+        phase_row = tuple(
+            tuple(
+                powers[rng.randrange(4)] if r == c else GR_ZERO for c in range(dimension)
+            )
+            for r in range(dimension)
+        )
+        u = gr_mul(phase_row, u)
+        if dimension < 2:
+            continue
+        i = rng.randrange(dimension)
+        j = rng.randrange(dimension - 1)
+        if j >= i:
+            j += 1
+        i, j = min(i, j), max(i, j)
+        a, b, c = rng.choice(_PYTHAGOREAN_TRIPLES)
+        if rng.randrange(2):
+            a, b = b, a
+        cos = GaussianRational(Fraction(a, c))
+        sin = GaussianRational(Fraction(b, c))
+        rotation = [
+            [GR_ONE if r == s else GR_ZERO for s in range(dimension)]
+            for r in range(dimension)
+        ]
+        rotation[i][i] = cos
+        rotation[i][j] = -sin
+        rotation[j][i] = sin
+        rotation[j][j] = cos
+        u = gr_mul(gr_matrix(rotation), u)
+    return u
+
+
+def reference_random_quantum_model(input_set, output_set, dimension: int, seed: int):
+    """``u diag u^*`` per output, with the library generator's random draws."""
+    rng = random.Random(seed)
+    ny = output_set.size
+    families = []
+    for _ in range(input_set.size):
+        assignment = [l % ny for l in range(dimension)]
+        rng.shuffle(assignment)
+        u = reference_random_unitary(dimension, rng)
+        u_dag = gr_conj_transpose(u)
+        family = []
+        for y in range(ny):
+            diag = tuple(
+                tuple(
+                    (GR_ONE if (r == c and assignment[r] == y) else GR_ZERO)
+                    for c in range(dimension)
+                )
+                for r in range(dimension)
+            )
+            family.append(gr_mul(gr_mul(u, diag), u_dag))
+        families.append(tuple(family))
+    return QuantumModel(input_set, output_set, dimension, tuple(families))
 
 
 def compose_quantum_models(outer: QuantumModel, inner: QuantumModel) -> Correlation:

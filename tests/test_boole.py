@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from syncgames import (
     ATOMS,
     INTERSECTIONS,
+    BooleVector,
     NotNormalizedAtEmptySetError,
     OutOfRangeError,
     atoms_to_intersections,
@@ -20,6 +21,7 @@ from syncgames import (
     triple_bounds,
     triple_inequalities,
 )
+from syncgames.corrcore import ZERO
 from syncgames.errors import (
     NotSymmetricError,
     UnsupportedShapeError,
@@ -355,3 +357,124 @@ def test_inequality_json_shape():
     for item in data:
         assert item["sense"] == ">= 0"
         assert "text" in item and "<=" in item["text"]
+
+
+# ---------------------------------------------------------------------------
+# The integer passes and checks against the Fraction code they replaced.
+# ---------------------------------------------------------------------------
+
+_LARGE_PRIMES = (3, 7919, 1000003, 2**31 - 1, 2**61 - 1)
+
+
+def reference_passes(entries, n, sign):
+    """One pass per event on ``Fraction``s: ``v[j] += sign * v[j | 2**l]``."""
+    values = list(entries)
+    for l in range(n):
+        bit = 1 << l
+        for j in range(1 << n):
+            if not j & bit:
+                values[j] = values[j] + sign * values[j | bit]
+    return values
+
+
+def reference_error(interpretation, entries):
+    """The first error the ``Fraction`` validation of a Boole vector raises."""
+    if interpretation == ATOMS:
+        total = F(0)
+        for j, value in enumerate(entries):
+            if value < 0:
+                return WeightsNotNormalizedError, f"atom {j} has negative mass {value}"
+            total += value
+        if total != 1:
+            return WeightsNotNormalizedError, f"atoms sum to {total}, expected 1"
+        return None
+    if entries[0] != 1:
+        return (
+            NotNormalizedAtEmptySetError,
+            f"empty intersection has probability {entries[0]}, expected 1",
+        )
+    for j, value in enumerate(entries):
+        if value < 0:
+            return OutOfRangeError, f"intersection {j} has negative probability {value}"
+    return None
+
+
+def prime_rationals(low, high):
+    """Rationals ``k / q`` with ``k`` in ``[low, high]`` and ``q`` a large prime."""
+    return st.builds(F, st.integers(low, high), st.sampled_from(_LARGE_PRIMES))
+
+
+@st.composite
+def prime_atom_vectors(draw):
+    n = draw(st.integers(0, 6))
+    weight = st.one_of(st.just(F(0)), prime_rationals(1, 10**6))
+    raw = draw(st.lists(weight, min_size=1 << n, max_size=1 << n))
+    total = sum(raw, F(0))
+    if total == 0:
+        raw[0] = total = F(1)
+    return BooleVector(n, ATOMS, tuple(v / total for v in raw))
+
+
+@st.composite
+def prime_intersection_vectors(draw):
+    n = draw(st.integers(0, 6))
+    value = st.one_of(st.just(F(0)), prime_rationals(1, 10**6), st.just(F(1)))
+    rest = draw(st.lists(value, min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+    return BooleVector(n, INTERSECTIONS, (F(1), *rest))
+
+
+@settings(max_examples=80, deadline=None)
+@given(prime_atom_vectors())
+def test_integer_atoms_to_intersections_equals_the_fraction_passes(p):
+    w = atoms_to_intersections(p)
+    assert list(w.entries) == reference_passes(p.entries, p.n, 1)
+    assert all(type(v) is F for v in w.entries)
+    assert all(v is ZERO for v in w.entries if v == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(prime_intersection_vectors())
+def test_integer_intersections_to_atoms_equals_the_fraction_passes(w):
+    rec = intersections_to_atoms(w)
+    expected = reference_passes(w.entries, w.n, -1)
+    assert list(rec.entries) == expected
+    assert rec.negative_indices == tuple(j for j, v in enumerate(expected) if v < 0)
+    assert rec.feasible == (not rec.negative_indices)
+    assert all(type(v) is F for v in rec.entries)
+    assert all(v is ZERO for v in rec.entries if v == 0)
+
+
+def test_reconstruction_census_has_both_verdicts():
+    # the same passes on fixed inputs: one infeasible at a large prime
+    # denominator, one feasible with zero atoms
+    q = 2**61 - 1
+    w = BooleVector(2, INTERSECTIONS, (F(1), F(q - 1, q), F(q - 1, q), F(1, q)))
+    rec = intersections_to_atoms(w)
+    assert rec.negative_indices == (0,) and rec.entries[0] == F(-q + 3, q)
+    feasible = intersections_to_atoms(atoms_to_intersections(
+        BooleVector(2, ATOMS, (ZERO, F(1, q), ZERO, F(q - 1, q)))
+    ))
+    assert feasible.feasible
+    assert feasible.entries[0] is ZERO and feasible.entries[2] is ZERO
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([ATOMS, INTERSECTIONS]),
+    st.integers(0, 4).flatmap(
+        lambda n: st.lists(
+            st.one_of(prime_rationals(-3, 3), st.just(F(1)), st.just(F(0))),
+            min_size=1 << n,
+            max_size=1 << n,
+        )
+    ),
+)
+def test_boole_vector_checks_raise_the_fraction_reference_error(interpretation, entries):
+    n = len(entries).bit_length() - 1
+    expected = reference_error(interpretation, entries)
+    try:
+        BooleVector(n, interpretation, tuple(entries))
+    except (WeightsNotNormalizedError, NotNormalizedAtEmptySetError, OutOfRangeError) as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert expected is None

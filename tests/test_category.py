@@ -10,6 +10,7 @@ from syncgames import (
     classify,
     compose,
     deterministic_function,
+    enumerate_functions,
     finite_set,
     from_classical_model,
     from_deterministic_pair,
@@ -61,6 +62,7 @@ def test_negation_composes_to_identity():
 
 
 _LARGE_PRIMES = (1000003, 1000033, 2**31 - 1, 2**61 - 1)
+_PRIME_WEIGHTS = st.builds(F, st.integers(1, 10**6), st.sampled_from(_LARGE_PRIMES))
 
 
 @st.composite
@@ -132,6 +134,78 @@ def test_is_nonsignaling_examples():
     assert is_nonsignaling(from_function(B, B, {"0": "0", "1": "0"}))
     assert not is_nonsignaling(SIGNALING)
     assert is_synchronous(SIGNALING)
+
+
+def reference_is_nonsignaling(p):
+    """The ``Fraction`` marginal sums the integer check replaced."""
+    nx = p.input_set.size
+    ny = p.output_set.size
+
+    def a_marginal(ya, xa, xb):
+        c = p.input_set.pair_index(xa, xb)
+        return sum((p.matrix[p.output_set.pair_index(ya, yb)][c] for yb in range(ny)), F(0))
+
+    def b_marginal(yb, xa, xb):
+        c = p.input_set.pair_index(xa, xb)
+        return sum((p.matrix[p.output_set.pair_index(ya, yb)][c] for ya in range(ny)), F(0))
+
+    for ya in range(ny):
+        for xa in range(nx):
+            reference = a_marginal(ya, xa, 0)
+            for xb in range(1, nx):
+                if a_marginal(ya, xa, xb) != reference:
+                    return False
+    for yb in range(ny):
+        for xb in range(nx):
+            reference = b_marginal(yb, 0, xb)
+            for xa in range(1, nx):
+                if b_marginal(yb, xa, xb) != reference:
+                    return False
+    return True
+
+
+@st.composite
+def mixtures_with_one_moved_entry(draw):
+    """A classical mixture (nonsignaling) with large prime denominators,
+    then, half the time, mass moved between one pair of entries of one
+    column, which usually makes it signaling."""
+    x, y = draw(st.sampled_from([B, T])), draw(st.sampled_from([B, T]))
+    functions = list(enumerate_functions(x.size, y.size))
+    raw = [draw(st.one_of(st.just(F(0)), _PRIME_WEIGHTS)) for _ in functions]
+    total = sum(raw, F(0))
+    if total == 0:
+        raw[0] = total = F(1)
+    p = from_classical_model(classical_model(x, y, {f: v / total for f, v in zip(functions, raw)}))
+    if not draw(st.booleans()):
+        return p
+    matrix = [list(row) for row in p.matrix]
+    c = draw(st.integers(0, p.column_count - 1))
+    source = draw(st.sampled_from([r for r in range(p.row_count) if matrix[r][c]]))
+    target = draw(st.integers(0, p.row_count - 1))
+    moved = matrix[source][c] / draw(st.sampled_from(_LARGE_PRIMES))
+    matrix[source][c] -= moved
+    matrix[target][c] += moved
+    return make_correlation(x, y, matrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mixtures_with_one_moved_entry(), correlations(B, B), correlations(T, B)))
+def test_integer_nonsignaling_equals_the_fraction_marginals(p):
+    assert is_nonsignaling(p) == reference_is_nonsignaling(p)
+
+
+def test_one_moved_entry_pair_makes_signaling():
+    q = 2**61 - 1
+    p = from_classical_model(classical_model(B, B, {(0, 1): F(1, q), (1, 0): F(q - 1, q)}))
+    assert is_nonsignaling(p) and reference_is_nonsignaling(p)
+    matrix = [list(row) for row in p.matrix]
+    # column (x1, x0): move 1/q**2 from (y1, y0) to (y1, y1), changing
+    # only Bob's marginal there
+    c = B.pair_index(1, 0)
+    matrix[B.pair_index(1, 0)][c] -= F(1, q * q)
+    matrix[B.pair_index(1, 1)][c] += F(1, q * q)
+    moved = make_correlation(B, B, matrix)
+    assert not is_nonsignaling(moved) and not reference_is_nonsignaling(moved)
 
 
 def test_nonsignaling_closed_under_composition():

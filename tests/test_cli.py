@@ -34,6 +34,7 @@ from syncgames import (
     is_section,
     make_correlation,
     quantum_model_to_json_dict,
+    random_correlation,
     random_quantum_model,
     serialize,
     to_json_dict,
@@ -43,7 +44,7 @@ from syncgames import (
     two_output_nonsignaling,
     witness_from_json_dict,
 )
-from syncgames import category, morphology
+from syncgames import category, cli, morphology
 from syncgames.cli import main
 
 B = finite_set(["0", "1"])
@@ -369,6 +370,40 @@ def test_construct_random_unknown_kind_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["construct", "random", "--kind", "nope", "--inputs", "0", "--outputs", "0"])
     assert excinfo.value.code == 2
+
+
+def _call(capsys, argv):
+    """Exit code, stdout and stderr of one call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "p.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(serialize(random_correlation("classical", B, T, 3)) + "\n")
+    calls = [
+        ["classify", path],
+        ["classify", path, "--format", "table"],
+        ["classify", path, "--max-size", "1"],
+        ["classify", path],
+        ["classify", path, "--format", "xml"],
+        ["witness", "epi", path, "--category", "NS"],
+        ["boole", "pair-bounds", "--a", "1/2"],
+        ["boole", "pair-bounds", "--a", "1/2", "--b", "2/3"],
+    ]
+    reused = [_call(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(_call(capsys, argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 3, 0, 2, 0, 2, 0]
+    assert reused[0][1] != reused[1][1] and reused[0] == reused[3]
 
 
 # ---------------------------------------------------------------------------

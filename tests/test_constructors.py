@@ -23,12 +23,6 @@ from syncgames import (
     from_function_indices,
     from_quantum_model,
     gaussian,
-    gr_conj_transpose,
-    gr_identity,
-    gr_kron,
-    gr_matrix,
-    gr_mul,
-    gr_trace_product,
     identity,
     is_deterministic,
     is_nonsignaling,
@@ -48,7 +42,18 @@ from syncgames import (
     validate_quantum_model,
 )
 
-from quantum_oracle import compose_quantum_models, evaluate_quantum_model, validate_projections
+from quantum_oracle import (
+    compose_quantum_models,
+    evaluate_quantum_model,
+    gr_conj_transpose,
+    gr_identity,
+    gr_kron,
+    gr_matrix,
+    gr_mul,
+    gr_trace_product,
+    reference_random_quantum_model,
+    validate_projections,
+)
 from syncgames.constructors import _random_unitary
 from syncgames.corrcore import ZERO
 from syncgames.errors import (
@@ -67,6 +72,7 @@ from syncgames.errors import (
     WeightsNotNormalizedError,
 )
 
+S1 = finite_set(["0"])
 B = finite_set(["0", "1"])
 T = finite_set(["0", "1", "2"])
 
@@ -594,6 +600,17 @@ def test_random_unitary_is_exactly_unitary():
         u = _random_unitary(d, random.Random(9))
         assert gr_mul(u, gr_conj_transpose(u)) == gr_identity(d)
         assert gr_mul(gr_conj_transpose(u), u) == gr_identity(d)
+
+
+def test_random_quantum_model_equals_the_matrix_product_generator():
+    # every shape kind: d = 1, d < |Y|, d = |Y| and d > |Y|, one or more inputs
+    shapes = ((S1, B, 1), (B, B, 1), (B, T, 2), (T, B, 2), (B, B, 3), (T, T, 3), (S1, T, 4))
+    for x, y, d in shapes:
+        for seed in range(5):
+            model = random_quantum_model(x, y, d, seed)
+            assert model == reference_random_quantum_model(x, y, d, seed)
+            entries = [v for family in model.pvm for m in family for row in m for v in row]
+            assert all(part is ZERO for v in entries for part in (v.real, v.imag) if part == 0)
 
 
 def test_random_quantum_model_validates_and_evaluates():

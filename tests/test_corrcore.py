@@ -50,6 +50,30 @@ def test_as_rational_reads_only_n_and_n_over_d():
             as_rational(text)
 
 
+def test_as_rational_reads_the_groups_like_fraction_reads_the_text():
+    # Fraction(text) is the reference on text of the grammar: same value,
+    # or the same error type and message
+    five_thousand = "7" * 5000
+    cases = ("+3/6", "-0", "007/010", "1/0", "-4/0", five_thousand, "1/" + five_thousand)
+    for text in cases:
+        try:
+            expected = F(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)) as info:
+                as_rational(text)
+            assert str(info.value) == str(exc)
+        else:
+            got = as_rational(text)
+            assert type(got) is F and got == expected
+    assert as_rational("+3/6") == F(1, 2)
+    assert as_rational("-0") == 0
+    assert as_rational("007/010") == F(7, 10)
+    with pytest.raises(ZeroDivisionError):
+        as_rational("1/0")
+    with pytest.raises(ValueError, match="4300 digits"):
+        as_rational(five_thousand)
+
+
 def test_format_rational_lowest_terms():
     assert format_rational(F(2, 4)) == "1/2"
     assert format_rational(F(3)) == "3"

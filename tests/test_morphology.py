@@ -660,6 +660,25 @@ def test_negation_is_isomorphism():
     assert is_bimorphism(negation, "HV")
 
 
+def test_player_swap_is_an_isomorphism_of_s():
+    # (a, b) -> (b, a): each player answers the other's input
+    swap = from_deterministic_pair(DeterministicPair(B, B, ((0, 1), (0, 1)), ((0, 0), (1, 1))))
+    assert compose(swap, swap) == identity(B)
+    assert is_member(swap, "S") and not is_member(swap, "NS")
+    assert is_section(swap, "S") and is_retraction(swap, "S")
+    assert is_isomorphism(swap, "S")
+
+
+def test_isomorphism_is_section_and_retraction():
+    for seed in range(40):
+        for x, y in ((B, B), (T, T), (B, T)):
+            p = random_correlation("deterministic_pair", x, y, seed)
+            for tag in CategoryTag:
+                if is_member(p, tag):
+                    expected = is_section(p, tag) and is_retraction(p, tag)
+                    assert is_isomorphism(p, tag) == expected
+
+
 def test_half_diagonal_is_not_bimorphism():
     assert not is_bimorphism(HALF_DIAGONAL, "S")
     assert not is_isomorphism(HALF_DIAGONAL, "HV")
