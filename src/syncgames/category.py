@@ -187,11 +187,10 @@ class ClassLabel:
 
     ``deterministic`` carries the answer tables when defined, and
     ``classical`` carries a reproducing measure when one was found.
-    ``classical_decided`` records whether classical membership was decided
-    at all: it is for every synchronous input unless skipped on request.
-    The linear program runs only for symmetric nonsignaling inputs; any
-    other is not classical, because every mixture of shared functions is
-    symmetric and nonsignaling.
+    ``classical_decided`` records whether classical membership was decided;
+    it always equals ``synchronous``.  The linear program runs only for
+    symmetric nonsignaling inputs; any other is not classical, because
+    every mixture of shared functions is symmetric and nonsignaling.
     """
 
     synchronous: bool
@@ -202,16 +201,13 @@ class ClassLabel:
     classical_decided: bool
 
 
-def classify(p: Correlation, decide_classical: bool = True) -> ClassLabel:
+def classify(p: Correlation) -> ClassLabel:
     """Evaluate every membership predicate on ``p``."""
     synchronous = is_synchronous(p)
     nonsignaling = is_nonsignaling(p)
     symmetric = is_symmetric(p)
     deterministic = is_deterministic(p)
     classical = None
-    decided = False
-    if decide_classical and synchronous:
-        if symmetric and nonsignaling:
-            classical = classical_decomposition(p)
-        decided = True
-    return ClassLabel(synchronous, nonsignaling, symmetric, deterministic, classical, decided)
+    if synchronous and symmetric and nonsignaling:
+        classical = classical_decomposition(p)
+    return ClassLabel(synchronous, nonsignaling, symmetric, deterministic, classical, synchronous)

@@ -6,7 +6,7 @@ quantum-style ``Q``, classical ``HV``) is the hom-set family of a
 category whose objects are finite sets.  This module decides, for a
 correlation and a category tag:
 
-* section / retraction, with explicit deterministic inverses;
+* section / retraction, by one support rule, with deterministic inverses;
 * monomorphism / epimorphism, which in all four categories reduce to the
   right / left nullspace of the matrix being zero; when the nullspace is
   nonzero, an explicit witness pair of distinct correlations with equal
@@ -67,6 +67,7 @@ from .corrcore import (
     common_denominator,
     format_rational,
     from_json_dict as correlation_from_json_dict,
+    identity,
     parse_labels,
     parse_rational,
     to_json_dict as correlation_to_json_dict,
@@ -97,6 +98,9 @@ def _coerce_tag(cat) -> CategoryTag:
         raise ValueError(f"unknown category {cat!r}; expected S, NS, Q or HV") from None
 
 
+Choice = dict[tuple[int, int], tuple[int, int]]  # (y, y') -> (x, x'), index pairs
+
+
 @dataclass(frozen=True)
 class Analysis:
     """The facts the deciders below read about one correlation ``p``.
@@ -107,6 +111,8 @@ class Analysis:
     holds the exact model of the single HV linear program; it is None
     without solving anything unless ``p`` lies in ``Q``, because every
     mixture of shared functions is nonsignaling and symmetric.
+    ``section`` and ``retraction`` are the inverses' answers read off the
+    supports of ``p``'s columns (None if there is none), for every tag.
     """
 
     p: Correlation
@@ -132,10 +138,12 @@ class Analysis:
         return is_deterministic(self.p)
 
     @cached_property
-    def function(self) -> Optional[tuple[int, ...]]:
-        """The shared one-variable strategy ``p`` is, if it is one."""
-        pair = self.deterministic
-        return None if pair is None else pair.shared_function()
+    def section(self) -> Optional[Choice]:
+        return _section_choice(self.p)
+
+    @cached_property
+    def retraction(self) -> Optional[Choice]:
+        return _retraction_choice(self.p)
 
     @cached_property
     def right_kernel(self) -> list[KernelVector]:
@@ -632,115 +640,110 @@ def epi_witness(p, cat) -> Optional[WitnessPair]:
 # ---------------------------------------------------------------------------
 
 
-def _function_hits(a: Analysis, size: int) -> bool:
-    """Is ``p`` a shared deterministic function taking exactly ``size`` values?"""
-    return a.function is not None and len(set(a.function)) == size
+def _section_choice(p: Correlation) -> Optional[Choice]:
+    """Each output pair in a column's support mapped to that input pair, or None."""
+    chosen: Choice = {}
+    for c, column in enumerate(zip(*p.matrix)):
+        x = p.input_set.pair_of(c)
+        for r, value in enumerate(column):
+            if value:
+                y = p.output_set.pair_of(r)
+                if y in chosen or (y[0] == y[1] and x[0] != x[1]):
+                    return None
+                chosen[y] = x
+    return chosen
+
+
+def _retraction_choice(p: Correlation) -> Optional[Choice]:
+    """Each output pair mapped to the first (diagonal) input pair sure of it, or None."""
+    chosen: Choice = {}
+    for c, column in enumerate(zip(*p.matrix)):
+        support = [r for r, value in enumerate(column) if value]
+        if len(support) == 1:
+            x = p.input_set.pair_of(c)
+            y = p.output_set.pair_of(support[0])
+            if y[0] != y[1] or x[0] == x[1]:
+                chosen.setdefault(y, x)
+    return chosen if len(chosen) == p.output_set.pair_count else None
+
+
+def _deterministic_inverse(p: Correlation, chosen: Choice, left: bool) -> Correlation:
+    """The deterministic pair ``Y -> X`` answering each chosen ``(y, y')``
+    with its choice and any other with ``(h(y), h(y'))``, ``h(y)`` being the
+    input chosen for ``(y, y)`` or else the first.  For a nonsignaling ``p``
+    this is the shared function ``h``.  Checks ``q . p`` (``left``) or ``p . q``.
+    """
+    ny = p.output_set.size
+    h = [chosen.get((y, y), (0, 0))[0] for y in range(ny)]
+    answers = [[chosen.get((y, z), (h[y], h[z])) for z in range(ny)] for y in range(ny)]
+    g_a = tuple(tuple(x for x, _ in row) for row in answers)
+    g_b = tuple(tuple(x for _, x in row) for row in answers)
+    q = from_deterministic_pair(DeterministicPair(p.output_set, p.input_set, g_a, g_b))
+    product = compose(q, p) if left else compose(p, q)
+    if product != identity(p.input_set if left else p.output_set):
+        raise AssertionError("inverse must compose to the identity")
+    return q
 
 
 def is_section(p, cat) -> bool:
     """Does ``p`` have a left inverse in the tagged category?
 
-    In ``S`` these are exactly the deterministic pairs that are one-to-one
-    on input pairs and send a pair to the output diagonal only when it is
-    itself diagonal.  In the other three categories they are exactly the
-    one-to-one shared single-variable strategies.
+    ``r . p`` is the identity only if ``r`` answers ``(x, x')`` on the
+    support of column ``(x, x')``, and a synchronous ``r`` answers the
+    output diagonal on the input diagonal.  So ``p`` is a section exactly
+    when distinct columns have disjoint supports and no off-diagonal input
+    pair reaches a diagonal output pair.  The inverse of
+    :func:`section_left_inverse` lies in every category ``p`` lies in, so
+    the tag only scopes the membership precondition.
     """
     a = analyze(p)
-    if require_member(a, cat) is not CategoryTag.S:
-        return _function_hits(a, a.p.input_set.size)
-    pair = a.deterministic
-    if pair is None:
-        return False
-    images = set()
-    for i, j in a.p.input_set.pairs():
-        image = pair.image_pair(i, j)
-        if image in images or (i != j and image[0] == image[1]):
-            return False
-        images.add(image)
-    return True
+    require_member(a, cat)
+    return a.section is not None
 
 
 def section_left_inverse(p) -> Correlation:
     """A deterministic synchronous ``q`` with ``q . p`` the identity.
 
-    Off the image of ``p`` the inverse answers with the first input label.
-    Raises :class:`NotASectionError` when ``p`` is not a section of the
-    synchronous category.
+    ``q`` answers each output pair in the support of column ``(x, x')``
+    with ``(x, x')``, and any other ``(y, y')`` with ``(h(y), h(y'))``,
+    where ``h(y)`` is the input whose column reaches ``(y, y)``, or the
+    first input; for a nonsignaling ``p`` it is the shared function ``h``.
+    Raises :class:`NotASectionError` unless ``p`` is a section in ``S``.
     """
     a = analyze(p)
-    if not (is_member(a, CategoryTag.S) and is_section(a, CategoryTag.S)):
+    if not (a.synchronous and a.section is not None):
         raise NotASectionError("correlation is not a section")
-    pair = a.deterministic
-    ny = a.p.output_set.size
-    g_a = [[0] * ny for _ in range(ny)]
-    g_b = [[0] * ny for _ in range(ny)]
-    for i, j in a.p.input_set.pairs():
-        ya, yb = pair.image_pair(i, j)
-        g_a[ya][yb] = i
-        g_b[ya][yb] = j
-    inverse = DeterministicPair(
-        a.p.output_set,
-        a.p.input_set,
-        tuple(tuple(row) for row in g_a),
-        tuple(tuple(row) for row in g_b),
-    )
-    return from_deterministic_pair(inverse)
+    return _deterministic_inverse(a.p, a.section, left=True)
 
 
 def is_retraction(p, cat) -> bool:
     """Does ``p`` have a right inverse in the tagged category?
 
-    In ``S`` these are exactly the deterministic pairs that cover every
-    output pair and cover the output diagonal using diagonal input pairs.
-    In the other three categories they are exactly the onto shared
-    single-variable strategies.
+    ``p . s`` is the identity only if ``p`` answers ``(y, y')`` for
+    certain on the support of ``s``'s column ``(y, y')``, and a
+    synchronous ``s`` answers ``(y, y)`` on the input diagonal.  So ``p``
+    is a retraction exactly when every output pair is the certain answer
+    (a point-mass column) of some input pair, and every diagonal output
+    pair that of a diagonal input pair, whatever the tag.
     """
     a = analyze(p)
-    ny = a.p.output_set.size
-    if require_member(a, cat) is not CategoryTag.S:
-        return _function_hits(a, ny)
-    pair = a.deterministic
-    if pair is None:
-        return False
-    images = {pair.image_pair(i, j) for i, j in a.p.input_set.pairs()}
-    diagonal = {pair.f_a[i][i] for i in range(a.p.input_set.size)}
-    return len(images) == ny * ny and len(diagonal) == ny
+    require_member(a, cat)
+    return a.retraction is not None
 
 
 def retraction_right_inverse(p) -> Correlation:
     """A deterministic synchronous ``q`` with ``p . q`` the identity.
 
-    Each output pair picks its first preimage in index order, with
-    diagonal output pairs picking a diagonal preimage.  Raises
-    :class:`NotARetractionError` when ``p`` is not a retraction of the
-    synchronous category.
+    ``q`` answers each output pair with the first input pair, in index
+    order, that ``p`` answers with it for certain, a diagonal one for a
+    diagonal output pair; for a nonsignaling ``p`` it is a shared
+    function.  Raises :class:`NotARetractionError` unless ``p`` is a
+    retraction in ``S``.
     """
     a = analyze(p)
-    if not (is_member(a, CategoryTag.S) and is_retraction(a, CategoryTag.S)):
+    if not (a.synchronous and a.retraction is not None):
         raise NotARetractionError("correlation is not a retraction")
-    pair = a.deterministic
-    nx = a.p.input_set.size
-    ny = a.p.output_set.size
-    g_a = [[-1] * ny for _ in range(ny)]
-    g_b = [[-1] * ny for _ in range(ny)]
-    for y in range(ny):
-        for i in range(nx):
-            if pair.f_a[i][i] == y and pair.f_b[i][i] == y:
-                g_a[y][y] = i
-                g_b[y][y] = i
-                break
-    for i, j in a.p.input_set.pairs():
-        ya, yb = pair.image_pair(i, j)
-        if g_a[ya][yb] < 0:
-            g_a[ya][yb] = i
-            g_b[ya][yb] = j
-    inverse = DeterministicPair(
-        a.p.output_set,
-        a.p.input_set,
-        tuple(tuple(row) for row in g_a),
-        tuple(tuple(row) for row in g_b),
-    )
-    return from_deterministic_pair(inverse)
+    return _deterministic_inverse(a.p, a.retraction, left=False)
 
 
 # ---------------------------------------------------------------------------

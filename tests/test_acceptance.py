@@ -5,6 +5,7 @@ Each test prints a single summary line (visible with ``pytest -s``); under
 Every comparison is exact rational arithmetic with zero tolerance.
 """
 
+import collections
 import itertools
 import random
 import time
@@ -23,6 +24,7 @@ from syncgames import (
     atoms_to_intersections,
     boole_vector,
     classical_decomposition,
+    classical_model,
     compose,
     deterministic_function,
     epi_witness,
@@ -34,6 +36,7 @@ from syncgames import (
     identity,
     intersections_to_atoms,
     is_bimorphism,
+    is_deterministic,
     is_epimorphism,
     is_isomorphism,
     is_member,
@@ -43,6 +46,7 @@ from syncgames import (
     is_section,
     is_symmetric,
     is_synchronous,
+    make_correlation,
     mono_witness,
     pair_weights,
     random_classical_model,
@@ -56,6 +60,7 @@ from syncgames import (
     two_output_classical,
 )
 
+from inverse_oracle import inverse_exists
 from quantum_oracle import compose_quantum_models
 
 LABELS = ("0", "1", "2")
@@ -267,6 +272,161 @@ def test_criterion_2_section_retraction_census():
         "criterion 2 (census (2,2) and (2,3), "
         f"{counts[(2, 2)][0]}+{counts[(2, 3)][0]} synchronous pairs): PASS"
     )
+
+
+# Inputs that are not deterministic, checked against an exact inverse search
+# in every category (``inverse_oracle``).  The three named inputs are neither
+# deterministic pairs nor shared functions, yet each has an inverse.
+
+
+def labelled(n):
+    return finite_set([str(i) for i in range(n)])
+
+
+def mixed_section():
+    # 1/2 (0, 2) + 1/2 (1, 3): left inverse h = (0, 0, 1, 1)
+    return from_classical_model(
+        classical_model(labelled(2), labelled(4), {(0, 2): F(1, 2), (1, 3): F(1, 2)})
+    )
+
+
+def mixed_retraction():
+    # 1/2 (0, 1, 0) + 1/2 (0, 1, 1): right inverse (0, 1)
+    return from_classical_model(
+        classical_model(labelled(3), labelled(2), {(0, 1, 0): F(1, 2), (0, 1, 1): F(1, 2)})
+    )
+
+
+def signaling_section():
+    # deterministic on the diagonal and on (1, 0); (0, 1) answers (2, 3) or
+    # (3, 2) with probability 1/2 each, so player A's answer signals
+    half = F(1, 2)
+    y = labelled(4)
+    matrix = [[F(0)] * 4 for _ in range(16)]
+    for (ya, yb), (xa, xb), value in (
+        ((0, 0), (0, 0), F(1)),
+        ((1, 1), (1, 1), F(1)),
+        ((0, 1), (1, 0), F(1)),
+        ((2, 3), (0, 1), half),
+        ((3, 2), (0, 1), half),
+    ):
+        matrix[y.pair_index(ya, yb)][labelled(2).pair_index(xa, xb)] = value
+    return make_correlation(labelled(2), y, matrix)
+
+
+def _halves(rng, support):
+    chosen = rng.sample(support, rng.randint(1, 2))
+    return {s: F(1, len(chosen)) for s in chosen}
+
+
+def sparse_mixture(x, y, rng):
+    """A mixture of up to three random shared functions, random weights."""
+    functions = [tuple(rng.randrange(y.size) for _ in range(x.size)) for _ in range(3)]
+    weights = [rng.randint(0, 2) for _ in functions]
+    weights[0] += 1
+    mu = {}
+    for f, weight in zip(functions, weights):
+        mu[f] = mu.get(f, 0) + F(weight, sum(weights))
+    return from_classical_model(classical_model(x, y, mu))
+
+
+def sparse_synchronous(x, y, rng):
+    """Each column uniform on one or two random output pairs, the diagonal
+    columns on the output diagonal."""
+    matrix = [[F(0)] * x.pair_count for _ in range(y.pair_count)]
+    for xa, xb in x.pairs():
+        support = list(y.pairs()) if xa != xb else [(v, v) for v in range(y.size)]
+        for pair, value in _halves(rng, support).items():
+            matrix[y.pair_index(*pair)][x.pair_index(xa, xb)] = value
+    return make_correlation(x, y, matrix)
+
+
+def sparse_nonsignaling(x, y, rng):
+    """Each input's answer uniform on one or two outputs; each off-diagonal
+    column couples two inputs' answers by their product or, on two
+    two-point supports, by a random matching; symmetric half of the time."""
+    answers = [_halves(rng, list(range(y.size))) for _ in range(x.size)]
+    symmetric = rng.random() < 0.5
+    columns = {}
+    for xa, xb in x.pairs():
+        if xa == xb:
+            columns[xa, xb] = {(v, v): w for v, w in answers[xa].items()}
+        elif symmetric and xa > xb:
+            columns[xa, xb] = {(b, a): w for (a, b), w in columns[xb, xa].items()}
+        elif len(answers[xa]) == len(answers[xb]) == 2 and rng.random() < 0.5:
+            left, right = list(answers[xa]), list(answers[xb])
+            rng.shuffle(right)
+            columns[xa, xb] = {pair: F(1, 2) for pair in zip(left, right)}
+        else:
+            columns[xa, xb] = {
+                (a, b): u * v for a, u in answers[xa].items() for b, v in answers[xb].items()
+            }
+    matrix = [[F(0)] * x.pair_count for _ in range(y.pair_count)]
+    for (xa, xb), column in columns.items():
+        for pair, value in column.items():
+            matrix[y.pair_index(*pair)][x.pair_index(xa, xb)] = value
+    return make_correlation(x, y, matrix)
+
+
+NAMED_CASES = {
+    "mixed_section": (mixed_section, "left"),
+    "mixed_retraction": (mixed_retraction, "right"),
+    "signaling_section": (signaling_section, "left"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_CASES))
+def test_criterion_2_named_inverse(name):
+    make, side = NAMED_CASES[name]
+    p = make()
+    assert is_deterministic(p) is None
+    decide, build = (
+        (is_section, section_left_inverse)
+        if side == "left"
+        else (is_retraction, retraction_right_inverse)
+    )
+    tags = [tag for tag in ("S", "NS", "Q", "HV") if is_member(p, tag)]
+    assert tags == (["S"] if name == "signaling_section" else ["S", "NS", "Q", "HV"])
+    for tag in tags:
+        assert decide(p, tag) and inverse_exists(p, tag, side)
+    q = build(p)
+    product = compose(q, p) if side == "left" else compose(p, q)
+    assert product == identity(p.input_set if side == "left" else p.output_set)
+    # the inverse of a nonsignaling input is a shared function, so it is in HV
+    assert is_member(q, "HV") == (name != "signaling_section")
+
+
+def test_criterion_2_oracle_census():
+    rng = random.Random(212)
+    inputs = [mixed_section(), mixed_retraction(), signaling_section()]
+    for nx, ny in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)):
+        for make in (sparse_mixture, sparse_synchronous, sparse_nonsignaling):
+            for _ in range(6):
+                p = make(labelled(nx), labelled(ny), rng)
+                if is_deterministic(p) is None:
+                    inputs.append(p)
+    counts = collections.Counter()
+    for p in inputs:
+        a = analyze(p)
+        for tag in ("S", "NS", "Q", "HV"):
+            if not is_member(a, tag):
+                continue
+            for side, decide, build in (
+                ("left", is_section, section_left_inverse),
+                ("right", is_retraction, retraction_right_inverse),
+            ):
+                expected = inverse_exists(p, tag, side)
+                assert decide(a, tag) == expected, (tag, side, p)
+                counts[tag, side, expected] += 1
+                if expected:
+                    q = build(a)
+                    assert is_member(q, tag)
+                    if a.nonsignaling:
+                        assert deterministic_function(q) is not None
+    for tag in ("S", "NS", "Q", "HV"):
+        for side in ("left", "right"):
+            assert counts[tag, side, True] > 0 and counts[tag, side, False] > 0, (tag, side)
+    print(f"criterion 2 (oracle census, {len(inputs)} inputs): {dict(counts)}: PASS")
 
 
 # ---------------------------------------------------------------------------

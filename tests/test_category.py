@@ -324,12 +324,6 @@ def test_classify_uniform_skips_lp():
     assert not label.classical_decided
 
 
-def test_classify_on_request_skips_lp():
-    label = classify(HALF_DIAGONAL, decide_classical=False)
-    assert label.classical is None
-    assert not label.classical_decided
-
-
 def test_classical_witnesses_sit_inside_hierarchy():
     for seed in range(3):
         p = random_correlation("classical", T, B, seed)

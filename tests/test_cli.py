@@ -18,8 +18,10 @@ import pytest
 from syncgames import (
     ClassicalModel,
     DeterministicPair,
+    NotInCategoryError,
     PairDistribution,
     PairWeights,
+    analyze,
     classical_model_to_json_dict,
     compose,
     deserialize,
@@ -30,7 +32,9 @@ from syncgames import (
     from_json_dict,
     from_quantum_model,
     identity,
+    is_isomorphism,
     is_member,
+    is_retraction,
     is_section,
     make_correlation,
     quantum_model_to_json_dict,
@@ -999,9 +1003,29 @@ def test_classify_emit_witnesses_solves_once(tmp_path, capsys, solver_calls):
     }
 
 
+def half_section():
+    # 1/2 (0, 2) + 1/2 (1, 3): a section in every category, not deterministic
+    y4 = finite_set(["0", "1", "2", "3"])
+    return from_classical_model(ClassicalModel(B, y4, (((0, 2), F(1, 2)), ((1, 3), F(1, 2)))))
+
+
 def test_cheap_questions_solve_nothing(tmp_path, capsys, solver_calls):
     assert is_section(half_diagonal(), "S") is False
     assert is_member(half_diagonal(), "Q") is True
+    # section, retraction and isomorphism read the supports of the columns
+    section = analyze(half_section())
+    for tag in ("S", "NS", "Q"):
+        assert is_section(section, tag) is True
+        assert is_retraction(section, tag) is False
+        assert is_isomorphism(section, tag) is False
+    asymmetric = analyze(two_input_nonsignaling(cyclic_distribution(), cyclic_distribution()))
+    for tag in ("S", "NS", "Q", "HV"):
+        for decide in (is_section, is_retraction, is_isomorphism):
+            if tag in ("S", "NS"):
+                assert decide(asymmetric, tag) is False
+            else:
+                with pytest.raises(NotInCategoryError):
+                    decide(asymmetric, tag)
     y4 = finite_set(["0", "1", "2", "3"])
     signaling = DeterministicPair(B, y4, ((0, 2), (1, 3)), ((1, 3), (0, 2)))
     path = write_correlation(tmp_path, "nonsync.json", from_deterministic_pair(signaling))
@@ -1011,3 +1035,20 @@ def test_cheap_questions_solve_nothing(tmp_path, capsys, solver_calls):
     assert report["synchronous"] is False
     assert report["witnesses"] == {}
     assert solver_calls == {}
+    # in HV the one solve is the membership LP, shared by all three questions
+    assert is_section(section, "HV") and not is_isomorphism(section, "HV")
+    assert solver_calls == {"find_nonnegative_combination": 1}
+
+
+def test_classify_computes_each_support_rule_once(tmp_path, capsys, monkeypatch):
+    counts = {}
+    counting(monkeypatch, morphology, "_section_choice", counts)
+    counting(monkeypatch, morphology, "_retraction_choice", counts)
+    path = write_correlation(tmp_path, "section.json", half_section())
+    for extra in ((), ("--format", "table"), ("--emit-witnesses", str(tmp_path / "w"))):
+        counts.clear()
+        code, out, _ = run(capsys, "classify", path, *extra)
+        assert code == 0
+        assert counts == {"_section_choice": 1, "_retraction_choice": 1}
+    for row in json.loads(out)["categories"].values():
+        assert (row["section"], row["retraction"], row["isomorphism"]) == (True, False, False)
