@@ -1,16 +1,17 @@
 """Exact feasibility of ``A x = b, x >= 0`` by phase-one simplex.
 
-The tableau is fraction-free (Bareiss 1968).  The coefficient block is
-held as Python ``int`` rows over one common denominator: each pivot
-replaces every other row by ``(piv * row - f * pivot_row) // den``, a
-division that is always exact, and the pivot element becomes the new
-denominator.  Fractional coefficients are first cleared by one common
-positive column scale (the lcm of their denominators; 1 for the 0/1
-strategy columns of a classical decomposition).  Only the right-hand side,
-the values of the basic variables, stays a column of exact
-:class:`fractions.Fraction`.
+The tableau is fraction-free (Bareiss 1968) and held as Python ``int``
+rows over one common denominator: each pivot replaces every other row by
+``(piv * row - f * pivot_row) // den``, a division that is always exact,
+and the pivot element becomes the new denominator.  Fractional
+coefficients are first cleared by one common positive column scale (the
+lcm of their denominators; 1 for the 0/1 strategy columns of a classical
+decomposition), and the right-hand side by the lcm of its own
+denominators.  The right-hand side is the tableau's last integer column,
+so the same update carries the values of the basic variables; a
+:class:`fractions.Fraction` is built only for each entry of the solution.
 
-Neither the common denominator nor the column scale changes the sign of a
+Neither the common denominator nor the scales change the sign of a
 reduced cost or the order of the ratios, so Bland's smallest-index rule
 takes the same pivots, and returns the same vertex, as the same method run
 over fractions; it is deterministic and guaranteed to terminate.  A
@@ -67,26 +68,30 @@ def find_nonnegative_combination(
     if not rows:
         return [ZERO] * n
 
-    # Solve for x' = x / scale, whose columns are integral.  The true
-    # tableau entry is tableau[i][j] / den; value[i] is the basic variable
-    # of row i itself.  The starting basis is one artificial variable per
-    # row; artificial columns are never explicit because they never
+    # Solve for y = x * bscale / scale, whose columns and right-hand side
+    # are integral.  The true tableau entry is tableau[i][j] / den, and
+    # column n holds the right-hand side: tableau[i][n] / den is the basic
+    # variable of row i.  The starting basis is one artificial variable
+    # per row; artificial columns are never explicit because they never
     # re-enter.
     scale = lcm(*(v.denominator for coeffs, _ in rows for v in coeffs))
+    bscale = lcm(*(b.denominator for _, b in rows))
     tableau: list[list[int]] = []
-    value: list[Fraction] = []
     basis: list[int] = []  # original j, or n + i for the artificial of row i
     for i, (coeffs, b) in enumerate(rows):
         sign = -1 if b < 0 else 1
-        tableau.append([sign * v.numerator * (scale // v.denominator) for v in coeffs])
-        value.append(Fraction(sign * b))
+        row = [sign * v.numerator * (scale // v.denominator) for v in coeffs]
+        row.append(sign * b.numerator * (bscale // b.denominator))
+        tableau.append(row)
         basis.append(n + i)
     m = len(tableau)
     den = 1
 
     # Phase-one objective: minimize the sum of artificials.  The reduced
-    # cost row (over the same denominator) starts as minus the column sums.
+    # cost row (over the same denominator) starts as minus the column sums;
+    # the right-hand column is no candidate to enter.
     objective = [-sum(column) for column in zip(*tableau)]
+    objective.pop()
 
     while True:
         entering = -1
@@ -96,26 +101,22 @@ def find_nonnegative_combination(
                 break
         if entering < 0:
             break
-        # Every candidate ratio value[i] / (tableau[i][entering] / den)
-        # carries the same factor den, so it is left out of the comparison.
+        # Ratio test by cross-multiplication: rhs_i / t_i < rhs_k / t_k
+        # with both pivots t positive; den cancels from every ratio.
         leaving = -1
-        best_ratio = None
         for i in range(m):
-            pivot = tableau[i][entering]
-            if pivot > 0:
-                ratio = value[i] / pivot
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+            t = tableau[i][entering]
+            if t > 0:
+                if leaving < 0:
+                    leaving, best_rhs, best_t = i, tableau[i][n], t
+                    continue
+                this, best = tableau[i][n] * best_t, best_rhs * t
+                if this < best or (this == best and basis[i] < basis[leaving]):
+                    leaving, best_rhs, best_t = i, tableau[i][n], t
         if leaving < 0:
             raise AssertionError("phase-one objective cannot be unbounded")
         pivot_row = tableau[leaving]
         pivot = pivot_row[entering]
-        step = value[leaving] / pivot
         for i in range(m):
             if i == leaving:
                 continue
@@ -123,26 +124,25 @@ def find_nonnegative_combination(
             factor = row[entering]
             if factor != 0:
                 tableau[i] = [(pivot * a - factor * p) // den for a, p in zip(row, pivot_row)]
-                value[i] -= factor * step
             elif pivot != den:
                 tableau[i] = [pivot * a // den for a in row]
         factor = objective[entering]
         objective = [(pivot * a - factor * p) // den for a, p in zip(objective, pivot_row)]
-        value[leaving] = step * den
         basis[leaving] = entering
         den = pivot
 
-    if any(value[i] != 0 for i in range(m) if basis[i] >= n):
+    if any(tableau[i][n] != 0 for i in range(m) if basis[i] >= n):
         return None
     solution = [ZERO] * n
+    support = []
     for i in range(m):
-        if basis[i] < n:
-            solution[basis[i]] = value[i] * scale
+        j = basis[i]
+        if j < n and tableau[i][n] != 0:
+            solution[j] = Fraction(tableau[i][n] * scale, den * bscale)
+            support.append((j, solution[j]))
+    # The check shares no scaling with the tableau: exact fractions against
+    # the caller's full system.
     for i, target_value in enumerate(target):
-        acc = ZERO
-        for j in range(n):
-            if solution[j] != 0:
-                acc += solution[j] * columns[j][i]
-        if acc != target_value:
+        if sum(x * columns[j][i] for j, x in support) != target_value:
             raise AssertionError("simplex returned a vector that fails verification")
     return solution

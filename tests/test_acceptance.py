@@ -435,7 +435,7 @@ def test_criterion_2_oracle_census():
 
 
 def seeded_members(tag, count):
-    rng = random.Random(hash(tag) % 100000)
+    rng = random.Random(f"criterion-3/{tag}")
     for i in range(count):
         if tag == "S":
             x, y = sized_set(rng.randint(1, 3)), sized_set(rng.randint(1, 3))

@@ -132,6 +132,66 @@ def test_same_vertex_as_the_fraction_tableau(system):
     assert x == fraction_phase_one(columns, target)
 
 
+# Distinct large primes: a target over several of them has a large lcm.
+_PRIMES = (10007, 65537, 999983, 2**31 - 1, 2**61 - 1)
+_RHS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-40, 40), st.sampled_from(_PRIMES)),
+)
+
+
+def test_large_prime_denominators_and_a_negative_row():
+    columns = [[F(1), F(0), F(1)], [F(0), F(-1), F(1)], [F(1), F(-1), F(0)]]
+    x = [F(1, p) for p in _PRIMES[2:]]
+    target = [sum(x[j] * columns[j][i] for j in range(3)) for i in range(3)]
+    assert target[1] < 0
+    assert find_nonnegative_combination(columns, target) == x == fraction_phase_one(columns, target)
+
+
+def test_ratio_ties_across_different_denominators():
+    # When the third column enters, rows 0 and 2 tie at the ratio 3; their
+    # right-hand sides started as 3/4 and 3/2.  Bland's rule removes row 0,
+    # whose basic variable is the second column, not row 2's artificial; the
+    # other choice ends at the vertex (0, 7/20, 4/5, 7/10).
+    columns = [[F(1), F(1), F(0)], [F(1), F(2), F(0)], [F(1, 2), F(1, 3), F(1)], [F(0), F(1), F(1)]]
+    target = [F(3, 4), F(5, 3), F(3, 2)]
+    x = find_nonnegative_combination(columns, target)
+    assert x == fraction_phase_one(columns, target) == [F(1, 2), F(0), F(1, 2), F(1)]
+
+
+def test_plain_int_target():
+    columns = [[1, 0, 2], [0, 2, 1], [1, 1, 1]]
+    assert find_nonnegative_combination(columns, [3, 4, 5]) == fraction_phase_one(columns, [3, 4, 5])
+    assert find_nonnegative_combination(columns, [-1, 0, 1]) is None
+
+
+@st.composite
+def rational_rhs_systems(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    columns = [[draw(_ENTRIES) for _ in range(m)] for _ in range(n)]
+    kind = draw(st.sampled_from(["feasible", "tied", "free"]))
+    if kind == "feasible":
+        x = [abs(draw(_RHS)) for _ in range(n)]
+        target = [sum(x[j] * columns[j][i] for j in range(n)) for i in range(m)]
+    elif kind == "tied":
+        # Every row ties in the first column's ratio test, mostly over
+        # different denominators.
+        columns[0] = [F(draw(st.integers(1, 9)), draw(st.sampled_from((1, 2, 3, 5, 7)))) for _ in range(m)]
+        ratio = abs(draw(_RHS)) or F(1)
+        target = [ratio * v for v in columns[0]]
+    else:
+        target = [draw(_RHS) for _ in range(m)]
+    return columns, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rhs_systems())
+def test_same_vertex_with_rational_and_int_targets(system):
+    columns, target = system
+    assert find_nonnegative_combination(columns, target) == fraction_phase_one(columns, target)
+
+
 def labels(n):
     return finite_set([str(i) for i in range(n)])
 
