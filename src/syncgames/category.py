@@ -181,7 +181,7 @@ def classical_decomposition(p: Correlation) -> Optional[ClassicalModel]:
     return classical_model(p.input_set, p.output_set, mu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassLabel:
     """Bundle of membership flags for one correlation.
 

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .boole import intersections_to_atoms, pairwise_intersection_vector
 from .corrcore import (
@@ -124,26 +124,37 @@ def from_deterministic_pair(pair: DeterministicPair) -> Correlation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassicalModel:
     """A probability measure on functions ``X -> Y``.
 
-    ``weights`` holds ``(function, weight)`` pairs with each function
-    encoded as a tuple of output indices of length ``|X|``.  Construction
-    canonicalizes: weights become Fractions, zero weights are dropped and
-    entries are sorted by function.
+    Built as ``ClassicalModel(input_set, output_set, weights)`` from
+    ``(function, weight)`` pairs, each function a tuple of output indices of
+    length ``|X|``.  Construction canonicalizes: zero weights are dropped,
+    the functions are sorted, and the weights are stored as integer
+    ``numerators`` over one ``denominator``, the lcm of their denominators.
+    So equal measures give equal fields and equal hashes whatever the order
+    or form of the pairs.  ``weights``, ``mu`` and ``support()`` are views
+    that build the ``Fraction`` weights on request.
     """
 
     input_set: FiniteSet
     output_set: FiniteSet
-    weights: tuple[tuple[tuple[int, ...], Fraction], ...]
+    functions: tuple[tuple[int, ...], ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        n = self.input_set.size
-        m = self.output_set.size
+    def __init__(
+        self,
+        input_set: FiniteSet,
+        output_set: FiniteSet,
+        weights: Iterable[tuple[Sequence[int], object]],
+    ) -> None:
+        n = input_set.size
+        m = output_set.size
         seen: dict[tuple[int, ...], Fraction] = {}
         total = ZERO
-        for key, raw in self.weights:
+        for key, raw in weights:
             key = tuple(key)
             if len(key) != n or any(
                 not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < m for v in key
@@ -160,15 +171,25 @@ class ClassicalModel:
             total += weight
         if total != ONE:
             raise WeightsNotNormalizedError(f"weights sum to {total}, expected 1")
-        canonical = tuple(sorted((k, w) for k, w in seen.items() if w != 0))
-        object.__setattr__(self, "weights", canonical)
+        functions = tuple(sorted(k for k, w in seen.items() if w != 0))
+        denominator, numerators = common_denominator([seen[k] for k in functions])
+        object.__setattr__(self, "input_set", input_set)
+        object.__setattr__(self, "output_set", output_set)
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "numerators", tuple(numerators))
+        object.__setattr__(self, "denominator", denominator)
+
+    @property
+    def weights(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+        d = self.denominator
+        return tuple((f, Fraction(k, d)) for f, k in zip(self.functions, self.numerators))
 
     @property
     def mu(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.weights)
 
     def support(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(key for key, _ in self.weights)
+        return self.functions
 
 
 def classical_model(
@@ -189,11 +210,14 @@ def from_classical_model(model: ClassicalModel) -> Correlation:
     output_set = model.output_set
     rows = output_set.pair_count
     cols = input_set.pair_count
-    matrix = [[ZERO] * cols for _ in range(rows)]
-    for f, weight in model.weights:
+    matrix = [[0] * cols for _ in range(rows)]
+    for f, k in zip(model.functions, model.numerators):
         for i, j in input_set.pairs():
-            matrix[output_set.pair_index(f[i], f[j])][input_set.pair_index(i, j)] += weight
-    return make_correlation(input_set, output_set, matrix)
+            matrix[output_set.pair_index(f[i], f[j])][input_set.pair_index(i, j)] += k
+    d = model.denominator
+    return make_correlation(
+        input_set, output_set, [[Fraction(k, d) if k else ZERO for k in row] for row in matrix]
+    )
 
 
 def _function_key_text(key: tuple[int, ...]) -> str:

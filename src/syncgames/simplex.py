@@ -14,15 +14,25 @@ so the same update carries the values of the basic variables; a
 Neither the common denominator nor the scales change the sign of a
 reduced cost or the order of the ratios, so Bland's smallest-index rule
 takes the same pivots, and returns the same vertex, as the same method run
-over fractions; it is deterministic and guaranteed to terminate.  A
-presolve pass removes duplicate and zero rows (detecting trivially
-inconsistent systems along the way), which keeps the tableau small for the
-highly redundant systems produced by correlation decompositions.
+over fractions; it is deterministic and guaranteed to terminate.
+
+A presolve pass first applies the forcing rule of LP presolve (Andersen
+and Andersen 1995): a row with target 0 whose coefficients all have one
+sign forces every variable with a nonzero coefficient in it to 0, so those
+columns never enter the tableau and stay 0 in the solution.  For a
+classical decomposition, whose columns are 0/1, this drops every strategy
+that hits a zero of the correlation.  The pass then removes duplicate and
+zero rows (detecting trivially inconsistent systems along the way), which
+keeps the tableau small for the highly redundant systems produced by
+correlation decompositions.  The returned vector is checked against the
+caller's full system in exact fractions, adding each support column only
+at its nonzero entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 from math import lcm
 from typing import Optional, Sequence
 
@@ -31,13 +41,23 @@ ZERO = Fraction(0)
 
 def _presolve(
     columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> Optional[list[tuple[tuple[Fraction, ...], Fraction]]]:
-    """Deduplicate rows; None means the system is already inconsistent."""
+) -> Optional[tuple[list[int], list[tuple[tuple[Fraction, ...], Fraction]]]]:
+    """Kept column indices and deduplicated rows; None means inconsistent.
+
+    A row with target 0 whose coefficients all have one sign forces every
+    variable with a nonzero coefficient in it to 0, so those columns are
+    dropped first.  The rows are streamed twice, once over all columns and
+    once over the kept ones, so no full copy of the system is built.
+    """
+    forced: set[int] = set()
+    for b, coeffs in zip(target, zip(*columns)):
+        if b == 0 and (min(coeffs) >= 0 or max(coeffs) <= 0):
+            forced.update(compress(range(len(coeffs)), coeffs))
+    kept = [j for j in range(len(columns)) if j not in forced]
+    kept_rows = zip(*(columns[j] for j in kept)) if kept else repeat((), len(target))
     seen: dict[tuple[Fraction, ...], Fraction] = {}
-    order: list[tuple[Fraction, ...]] = []
-    for i, b in enumerate(target):
-        coeffs = tuple(column[i] for column in columns)
-        if all(v == 0 for v in coeffs):
+    for b, coeffs in zip(target, kept_rows):
+        if not any(coeffs):
             if b != 0:
                 return None
             continue
@@ -46,8 +66,7 @@ def _presolve(
                 return None
             continue
         seen[coeffs] = b
-        order.append(coeffs)
-    return [(coeffs, seen[coeffs]) for coeffs in order]
+    return kept, list(seen.items())
 
 
 def find_nonnegative_combination(
@@ -59,25 +78,25 @@ def find_nonnegative_combination(
     entries).  The returned solution is deterministic (Bland's rule) and
     verified against the full system before being handed back.
     """
-    if not columns:
-        return None if any(v != 0 for v in target) else []
-    n = len(columns)
-    rows = _presolve(columns, target)
-    if rows is None:
+    presolved = _presolve(columns, target)
+    if presolved is None:
         return None
+    kept, rows = presolved
+    solution = [ZERO] * len(columns)
     if not rows:
-        return [ZERO] * n
+        return solution
 
-    # Solve for y = x * bscale / scale, whose columns and right-hand side
-    # are integral.  The true tableau entry is tableau[i][j] / den, and
-    # column n holds the right-hand side: tableau[i][n] / den is the basic
-    # variable of row i.  The starting basis is one artificial variable
-    # per row; artificial columns are never explicit because they never
-    # re-enter.
+    # Solve over the kept columns for y = x * bscale / scale, whose columns
+    # and right-hand side are integral.  The true tableau entry is
+    # tableau[i][j] / den, and column n holds the right-hand side:
+    # tableau[i][n] / den is the basic variable of row i.  The starting
+    # basis is one artificial variable per row; artificial columns are never
+    # explicit because they never re-enter.
+    n = len(kept)
     scale = lcm(*(v.denominator for coeffs, _ in rows for v in coeffs))
     bscale = lcm(*(b.denominator for _, b in rows))
     tableau: list[list[int]] = []
-    basis: list[int] = []  # original j, or n + i for the artificial of row i
+    basis: list[int] = []  # kept index j, or n + i for the artificial of row i
     for i, (coeffs, b) in enumerate(rows):
         sign = -1 if b < 0 else 1
         row = [sign * v.numerator * (scale // v.denominator) for v in coeffs]
@@ -133,16 +152,19 @@ def find_nonnegative_combination(
 
     if any(tableau[i][n] != 0 for i in range(m) if basis[i] >= n):
         return None
-    solution = [ZERO] * n
     support = []
     for i in range(m):
         j = basis[i]
         if j < n and tableau[i][n] != 0:
-            solution[j] = Fraction(tableau[i][n] * scale, den * bscale)
-            support.append((j, solution[j]))
+            x = Fraction(tableau[i][n] * scale, den * bscale)
+            solution[kept[j]] = x
+            support.append((columns[kept[j]], x))
     # The check shares no scaling with the tableau: exact fractions against
-    # the caller's full system.
-    for i, target_value in enumerate(target):
-        if sum(x * columns[j][i] for j, x in support) != target_value:
-            raise AssertionError("simplex returned a vector that fails verification")
+    # the caller's full system, summed at each support column's nonzeros.
+    total = [ZERO] * len(target)
+    for column, x in support:
+        for i in compress(range(len(total)), column):
+            total[i] += x * column[i]
+    if any(t != b for t, b in zip(total, target)):
+        raise AssertionError("simplex returned a vector that fails verification")
     return solution

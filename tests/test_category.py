@@ -1,3 +1,6 @@
+import gc
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -293,6 +296,30 @@ def test_models_of_one_shape_share_their_keys():
     second = classical_decomposition(from_function(B, B, {"0": "0", "1": "0"}))
     assert second.weights[0][0] == (0, 0)
     assert second.weights[0][0] is first.weights[0][0]
+
+
+def test_a_kept_classify_result_is_small():
+    # An 8-function mixture on 4 -> 3.  The first call warms the shared
+    # strategy keys; the second result is what a caller keeps.
+    rng = random.Random(1)
+    chosen = set()
+    while len(chosen) < 8:
+        chosen.add(tuple(rng.randrange(3) for _ in range(4)))
+    raw = {f: rng.randint(1, 8) for f in sorted(chosen)}
+    mu = {f: F(k, sum(raw.values())) for f, k in raw.items()}
+    p = from_classical_model(classical_model(finite_set(list("0123")), T, mu))
+    tracemalloc.start()
+    try:
+        classify(p)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        kept = classify(p)
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept.classical.support()) == 8
+    assert size <= 900, size
 
 
 def test_classical_decomposition_point_mass():

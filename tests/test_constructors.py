@@ -1,3 +1,5 @@
+import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -157,6 +159,52 @@ def test_classical_model_validation():
         classical_model(B, B, {(True, False): F(1)})
     with pytest.raises(WeightsNotNormalizedError):
         ClassicalModel(B, B, (((0, 0), F(1, 2)), ((0, 0), F(1, 2))))
+
+
+def _labels(n):
+    return finite_set([str(i) for i in range(n)])
+
+
+def test_classical_models_are_canonical_whatever_the_pairs():
+    pairs = [((1, 0), "2/4"), ((0, 0), F(1, 4)), ((1, 1), 0), ((0, 1), F(1, 4))]
+    first = ClassicalModel(B, B, pairs)
+    second = ClassicalModel(B, B, reversed([(k, F(w)) for k, w in pairs]))
+    third = classical_model(B, B, {(0, 1): "1/4", (1, 0): F(1, 2), (0, 0): "3/12"})
+    assert first == second == third
+    assert hash(first) == hash(second) == hash(third)
+    assert first.functions == ((0, 0), (0, 1), (1, 0))
+    assert (first.numerators, first.denominator) == ((1, 1, 2), 4)
+    assert classical_model(B, B, {(0, 0): F(1, 3), (1, 1): F(2, 3)}) != classical_model(
+        B, B, {(0, 0): F(2, 3), (1, 1): F(1, 3)}
+    )
+
+
+def test_classical_model_views_equal_the_canonical_fractions():
+    # The canonical form of every earlier version: the nonzero (function,
+    # Fraction) pairs sorted by function.
+    rng = random.Random(5)
+    for _ in range(60):
+        nx, ny = rng.randint(1, 3), rng.randint(1, 3)
+        functions = rng.sample(list(enumerate_functions(nx, ny)), rng.randint(1, ny**nx))
+        raw = [rng.choice((0, 1, 2, 7, 30)) for _ in functions]
+        raw[0] = raw[0] or 1
+        pairs = [(f, F(k, sum(raw))) for f, k in zip(functions, raw)]
+        model = ClassicalModel(_labels(nx), _labels(ny), pairs)
+        expected = tuple(sorted((f, w) for f, w in pairs if w != 0))
+        assert model.weights == expected
+        assert model.mu == dict(expected)
+        assert model.support() == tuple(f for f, _ in expected)
+        assert all(type(w) is F for _, w in model.weights)
+        assert math.gcd(model.denominator, *model.numerators) == 1
+
+
+def test_classical_model_json_text_round_trips():
+    for seed in range(20):
+        model = random_classical_model(_labels(3), T, seed)
+        text = json.dumps(classical_model_to_json_dict(model), sort_keys=True)
+        again = classical_model_from_json_dict(json.loads(text))
+        assert again == model
+        assert json.dumps(classical_model_to_json_dict(again), sort_keys=True) == text
 
 
 def test_from_classical_model_point_mass():

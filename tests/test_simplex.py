@@ -9,12 +9,29 @@ from hypothesis import strategies as st
 from syncgames import category, constructors, finite_set
 from syncgames.boole import triple_inequalities
 from syncgames.corrcore import PairWeights
-from syncgames.simplex import find_nonnegative_combination
+from syncgames.simplex import _presolve, find_nonnegative_combination
 
 
 def fraction_phase_one(columns, target):
     """Reference: the same method (presolve, Bland's rule) on a dense tableau
-    of fractions, pivoting by division."""
+    of fractions, pivoting by division.  The presolve drops every column
+    forced to 0 by a zero-target row of one sign, then solves over the rest."""
+    forced = set()
+    for i, b in enumerate(target):
+        coeffs = [F(column[i]) for column in columns]
+        if b == 0 and (all(v >= 0 for v in coeffs) or all(v <= 0 for v in coeffs)):
+            forced |= {j for j, v in enumerate(coeffs) if v != 0}
+    kept = [j for j in range(len(columns)) if j not in forced]
+    reduced = _fraction_phase_one_unforced([columns[j] for j in kept], target)
+    if reduced is None:
+        return None
+    solution = [F(0)] * len(columns)
+    for j, v in zip(kept, reduced):
+        solution[j] = v
+    return solution
+
+
+def _fraction_phase_one_unforced(columns, target):
     n = len(columns)
     seen, order = {}, []
     for i, b in enumerate(target):
@@ -106,6 +123,55 @@ def test_ratio_ties_leave_the_smallest_basis_index():
     columns = [[F(1), F(2), F(1)], [F(2), F(4), F(0)], [F(0), F(0), F(1)], [F(1), F(0), F(0)]]
     target = [F(2), F(4), F(1)]
     assert find_nonnegative_combination(columns, target) == fraction_phase_one(columns, target)
+
+
+def test_forced_columns_change_the_vertex():
+    # Row 0 has target 0 and coefficients (0, -1, -1, 0, 0, 0), so columns 1
+    # and 2 are forced to 0 and dropped.  Bland's rule over all six columns
+    # ends at (4, 0, 0, 0, 8, 0); over the kept four it ends at another
+    # vertex of the same system.
+    columns = [[0, 2, F(1, 2)], [-1, 1, 2], [-1, F(1, 2), 2], [0, 1, 2], [0, -1, 0], [0, -1, 1]]
+    target = [0, 0, 2]
+    x = find_nonnegative_combination(columns, target)
+    assert x == fraction_phase_one(columns, target) == [0, 0, 0, 1, 1, 0]
+
+
+def test_every_column_forced():
+    columns = [[F(1), F(0)], [F(2), F(1)]]
+    # Row 0 forces both columns; the nonzero target of row 1 is then out of
+    # reach, and a zero target leaves the all-zero solution of full length.
+    assert find_nonnegative_combination(columns, [F(0), F(1)]) is None
+    assert find_nonnegative_combination(columns, [F(0), F(0)]) == [F(0), F(0)]
+    assert fraction_phase_one(columns, [F(0), F(1)]) is None
+
+
+def test_a_nonpositive_zero_row_forces_its_columns():
+    columns = [[F(-1), F(1)], [F(0), F(1)], [F(-2), F(3)]]
+    kept, rows = _presolve(columns, [F(0), F(2)])
+    assert kept == [1] and rows == [((F(1),), F(2))]
+    assert find_nonnegative_combination(columns, [F(0), F(2)]) == [F(0), F(2), F(0)]
+    assert find_nonnegative_combination(columns, [F(0), F(-1)]) is None
+
+
+def test_a_mixed_sign_zero_row_forces_nothing():
+    columns = [[F(1), F(1)], [F(-1), F(1)], [F(0), F(1)]]
+    assert _presolve(columns, [F(0), F(2)])[0] == [0, 1, 2]
+    # x0 - x1 = 0 lets both columns take positive values.
+    x = find_nonnegative_combination(columns, [F(0), F(2)])
+    assert x == fraction_phase_one(columns, [F(0), F(2)]) == [F(1), F(1), F(0)]
+
+
+def test_a_pruned_solution_keeps_the_callers_length():
+    # Strategy-like 0/1 columns: row 0 forces columns 0 and 2, the rest solve
+    # the system, and the solution still has one entry per column.
+    columns = [[1, 1, 0], [0, 1, 0], [1, 0, 1], [0, 0, 1], [0, 1, 1]]
+    target = [0, F(1, 3), F(2, 3)]
+    x = find_nonnegative_combination(columns, target)
+    assert len(x) == len(columns)
+    assert x[0] == x[2] == 0
+    assert x == fraction_phase_one(columns, target)
+    for i, b in enumerate(target):
+        assert sum(x[j] * columns[j][i] for j in range(len(columns))) == b
 
 
 _ENTRIES = st.sampled_from([F(0), F(0), F(1), F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(5, 7)])
