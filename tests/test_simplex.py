@@ -145,6 +145,17 @@ def test_every_column_forced():
     assert fraction_phase_one(columns, [F(0), F(1)]) is None
 
 
+def test_a_farkas_row_ends_phase_one():
+    # x0 + x1 = 1 and x0 + 2 x1 = 3 only hold at x = (-1, 2).  The first
+    # pivot brings x0 in through row 0 and the second swaps it for x1, which
+    # leaves row 1 as (-1, 0 | 1): -x0 = 1 has no solution with x0 >= 0, so
+    # phase one stops there.  A reachable target keeps its vertex.
+    columns = [[F(1), F(1)], [F(1), F(2)]]
+    assert find_nonnegative_combination(columns, [F(1), F(3)]) is None
+    assert fraction_phase_one(columns, [F(1), F(3)]) is None
+    assert find_nonnegative_combination(columns, [F(1), F(2)]) == [F(0), F(1)]
+
+
 def test_a_nonpositive_zero_row_forces_its_columns():
     columns = [[F(-1), F(1)], [F(0), F(1)], [F(-2), F(3)]]
     kept, rows = _presolve(columns, [F(0), F(2)])
