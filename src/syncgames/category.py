@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from fractions import Fraction
 from typing import Optional
 
@@ -87,15 +88,26 @@ def is_nonsignaling(p: Correlation) -> bool:
 
 
 def is_symmetric(p: Correlation) -> bool:
-    """Swapping both players' inputs and outputs leaves ``p`` unchanged."""
-    for xa, xb in p.input_set.pairs():
-        c = p.input_set.pair_index(xa, xb)
-        c_swapped = p.input_set.pair_index(xb, xa)
-        for ya, yb in p.output_set.pairs():
-            r = p.output_set.pair_index(ya, yb)
-            r_swapped = p.output_set.pair_index(yb, ya)
-            if p.matrix[r][c] != p.matrix[r_swapped][c_swapped]:
+    """Swapping both players' inputs and outputs leaves ``p`` unchanged.
+
+    The swap sends the flat pair index ``a * n + b`` to ``b * n + a``.  Each
+    entry is compared with its swapped entry once: rows ``r < swap(r)``
+    against their swapped row at every column, and each row fixed by the
+    swap against itself at the columns ``c < swap(c)``.
+    """
+    nx, ny = p.input_set.size, p.output_set.size
+    swapped_columns = [c % nx * nx + c // nx for c in range(nx * nx)]
+    low = [c for c, t in enumerate(swapped_columns) if c < t]
+    high = [swapped_columns[c] for c in low]
+    swapped_rows = [r % ny * ny + r // ny for r in range(ny * ny)]
+    for r, s in enumerate(swapped_rows):
+        row = p.matrix[r]
+        if r < s:
+            twin = p.matrix[s]
+            if list(row) != [twin[t] for t in swapped_columns]:
                 return False
+        elif r == s and [row[c] for c in low] != [row[t] for t in high]:
+            return False
     return True
 
 
@@ -135,15 +147,29 @@ def deterministic_function(p: Correlation) -> Optional[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=8)
-def _strategies(nx: int, ny: int) -> tuple[tuple[int, ...], ...]:
-    """Every function ``X -> Y`` as an index tuple, built once per shape.
+def _strategies(
+    nx: int, ny: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """Every function ``X -> Y`` as an index tuple, and its sparse LP column.
 
-    The tuples become the keys of returned models, so all models of one
-    shape share them instead of each holding copies (about a quarter of a
-    kept model's memory).  The cache is small and holds only immutable
-    tuples.
+    Both are built once per shape.  The function tuples become the keys of
+    returned models, so all models of one shape share them instead of each
+    holding copies (about a quarter of a kept model's memory).  Function
+    ``f`` puts a 1 at output pair ``(f(i), f(j))`` of every input pair
+    ``(i, j)``: its column has the ``|X|^2`` entries
+    ``((f(i) * |Y| + f(j)) * |X|^2 + (i * |X| + j), 1)``, the flat row-major
+    indices of those entries in a correlation matrix.  The cache holds only
+    immutable tuples, and each ``(row, 1)`` entry once: the 3125 columns of
+    a 5 -> 5 shape and their functions take about 1 MB.
     """
-    return tuple(enumerate_functions(nx, ny))
+    functions = tuple(enumerate_functions(nx, ny))
+    m = nx * nx
+    pairs = [(c, divmod(c, nx)) for c in range(m)]
+    entries = [(r, 1) for r in range(ny * ny * m)]  # shared by every column
+    columns = tuple(
+        tuple(entries[(f[i] * ny + f[j]) * m + c] for c, (i, j) in pairs) for f in functions
+    )
+    return functions, columns
 
 
 def classical_decomposition(p: Correlation) -> Optional[ClassicalModel]:
@@ -161,20 +187,8 @@ def classical_decomposition(p: Correlation) -> Optional[ClassicalModel]:
         raise NotSynchronousError("classical decompositions exist only for synchronous inputs")
     nx = p.input_set.size
     ny = p.output_set.size
-    functions = _strategies(nx, ny)
-    length = p.row_count * p.column_count
-    columns = []
-    for f in functions:
-        column = [0] * length
-        for i, j in p.input_set.pairs():
-            r = p.output_set.pair_index(f[i], f[j])
-            c = p.input_set.pair_index(i, j)
-            column[r * p.column_count + c] = 1
-        columns.append(column)
-    target = [
-        p.matrix[r][c] for r in range(p.row_count) for c in range(p.column_count)
-    ]
-    solution = find_nonnegative_combination(columns, target)
+    functions, columns = _strategies(nx, ny)
+    solution = find_nonnegative_combination(columns, list(chain.from_iterable(p.matrix)))
     if solution is None:
         return None
     mu = {f: value for f, value in zip(functions, solution) if value != 0}

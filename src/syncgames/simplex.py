@@ -1,5 +1,23 @@
 """Exact feasibility of ``A x = b, x >= 0`` by phase-one simplex.
 
+The columns of ``A`` are sparse and ``b`` is dense.  Column ``j`` is a
+sequence of ``(row, coefficient)`` pairs, each row an index into ``b``
+(``0 <= row < len(b)``), with ``int`` or ``Fraction`` coefficients; no
+dense column of ``A`` is ever built.  A row appears at most once in a
+column, and a repeat raises ValueError.  A zero coefficient is skipped,
+the same as an absent entry.  The order of a column's pairs does not
+change the answer.
+
+A presolve pass first applies the forcing rule of LP presolve (Andersen
+and Andersen 1995): a row with target 0 whose coefficients all have one
+sign forces every variable with a nonzero coefficient in it to 0, so those
+columns never enter the tableau and stay 0 in the solution.  For a
+classical decomposition, whose columns are 0/1, this drops every strategy
+that hits a zero of the correlation.  The pass then removes duplicate and
+zero rows (detecting trivially inconsistent systems along the way), which
+keeps the tableau small for the highly redundant systems produced by
+correlation decompositions.
+
 The tableau is fraction-free (Bareiss 1968) and held as Python ``int``
 rows over one common denominator: each pivot replaces every other row by
 ``(piv * row - f * pivot_row) // den``, a division that is always exact,
@@ -28,70 +46,89 @@ at once.  A feasible system never has such a row, so it takes the same
 pivots as before; an infeasible one skips the pivots that would only have
 driven the phase-one objective to its positive minimum.
 
-A presolve pass first applies the forcing rule of LP presolve (Andersen
-and Andersen 1995): a row with target 0 whose coefficients all have one
-sign forces every variable with a nonzero coefficient in it to 0, so those
-columns never enter the tableau and stay 0 in the solution.  For a
-classical decomposition, whose columns are 0/1, this drops every strategy
-that hits a zero of the correlation.  The pass then removes duplicate and
-zero rows (detecting trivially inconsistent systems along the way), which
-keeps the tableau small for the highly redundant systems produced by
-correlation decompositions.  The returned vector is checked against the
-caller's full system in exact fractions, adding each support column only
-at its nonzero entries.
+The returned vector is checked against the caller's full system in
+integers that share no scaling with the tableau: the support's values
+over their lcm, the support columns over theirs, summed only at those
+columns' entries, and each row compared with its target by
+cross-multiplying.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress, repeat
 from math import lcm
-from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
+
+Rational = Union[int, Fraction]
+Column = Sequence[tuple[int, Rational]]
+Pattern = tuple[tuple[int, Rational], ...]
 
 ZERO = Fraction(0)
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
 
 
 def _presolve(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> Optional[tuple[list[int], list[tuple[tuple[Fraction, ...], Fraction]]]]:
-    """Kept column indices and deduplicated rows; None means inconsistent.
+    columns: Sequence[Column], target: Sequence[Rational]
+) -> Optional[tuple[list[int], list[tuple[Pattern, Rational]]]]:
+    """Kept column indices and deduplicated row patterns; None means inconsistent.
 
-    A row with target 0 whose coefficients all have one sign forces every
-    variable with a nonzero coefficient in it to 0, so those columns are
-    dropped first.  The rows are streamed twice, once over all columns and
-    once over the kept ones, so no full copy of the system is built.
+    One pass over the entries marks the signs each row's coefficients take
+    and rejects a repeated row.  A second drops every column forced to 0: one
+    with a nonzero entry in a row that has target 0 and a single sign.  A
+    third, over the kept columns only, builds each row's pattern ``((k, v),
+    ...)``, where ``k`` is the column's position among the kept ones, in
+    increasing ``k``.  The rows are then taken in index order: a zero row
+    must have target 0 and a repeated pattern the target of its first
+    occurrence, and both are dropped.  These are the rows, in the order,
+    that the dense tableau of the kept columns would keep.
     """
-    forced: set[int] = set()
-    for b, coeffs in zip(target, zip(*columns)):
-        if b == 0 and (min(coeffs) >= 0 or max(coeffs) <= 0):
-            forced.update(compress(range(len(coeffs)), coeffs))
-    kept = [j for j in range(len(columns)) if j not in forced]
-    kept_rows = zip(*(columns[j] for j in kept)) if kept else repeat((), len(target))
-    seen: dict[tuple[Fraction, ...], Fraction] = {}
-    for b, coeffs in zip(target, kept_rows):
-        if not any(coeffs):
+    m = len(target)
+    signs = [0] * m  # bit 1: a positive coefficient, bit 2: a negative one
+    last = [-1] * m  # the last column seen in each row
+    for j, column in enumerate(columns):
+        for r, v in column:
+            if last[r] == j:
+                raise ValueError(f"column {j} repeats row {r}")
+            last[r] = j
+            if v > 0:
+                signs[r] |= 1
+            elif v < 0:
+                signs[r] |= 2
+    forcing = [s != 3 and b == 0 for s, b in zip(signs, target)]
+    kept = []
+    for j, column in enumerate(columns):
+        for r, v in column:
+            if v and forcing[r]:
+                break
+        else:
+            kept.append(j)
+    patterns: list[list[tuple[int, Rational]]] = [[] for _ in range(m)]
+    for k, j in enumerate(kept):
+        for r, v in columns[j]:
+            if v:
+                patterns[r].append((k, v))
+    seen: dict[Pattern, Rational] = {}
+    for b, pattern in zip(target, map(tuple, patterns)):
+        if not pattern:
             if b != 0:
                 return None
             continue
-        if coeffs in seen:
-            if seen[coeffs] != b:
+        if pattern in seen:
+            if seen[pattern] != b:
                 return None
             continue
-        seen[coeffs] = b
+        seen[pattern] = b
     return kept, list(seen.items())
 
 
 def find_nonnegative_combination(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
+    columns: Sequence[Column], target: Sequence[Rational]
 ) -> Optional[list[Fraction]]:
     """Return ``x >= 0`` with ``sum x[j] * columns[j] == target``, or None.
 
-    ``columns`` are equal-length exact vectors (``int`` or ``Fraction``
-    entries).  The returned solution is deterministic (Bland's rule) and
-    verified against the full system before being handed back.
+    Each column is a sparse sequence of ``(row, coefficient)`` pairs, each
+    row at most once; ``target`` is dense, one entry per row.  The returned
+    solution is deterministic (Bland's rule), has one entry per column and
+    is verified against the full system before being handed back.
     """
     presolved = _presolve(columns, target)
     if presolved is None:
@@ -108,18 +145,20 @@ def find_nonnegative_combination(
     # basis is one artificial variable per row; artificial columns are never
     # explicit because they never re-enter.
     n = len(kept)
-    entries = chain.from_iterable(coeffs for coeffs, _ in rows)
-    scale = lcm(*set(map(_denominator, entries)))
+    scale = lcm(*{v.denominator for pattern, _ in rows for _, v in pattern})
     bscale = lcm(*(b.denominator for _, b in rows))
     tableau: list[list[int]] = []
     basis: list[int] = []  # kept index j, or n + i for the artificial of row i
-    for i, (coeffs, b) in enumerate(rows):
+    for i, (pattern, b) in enumerate(rows):
+        row = [0] * (n + 1)
         if scale == 1:
-            row = list(map(_numerator, coeffs))
+            for k, v in pattern:
+                row[k] = v.numerator
         else:
-            row = [v.numerator * (scale // v.denominator) for v in coeffs]
-        row.append(b.numerator * (bscale // b.denominator))
-        if b < 0:
+            for k, v in pattern:
+                row[k] = v.numerator * (scale // v.denominator)
+        row[n] = b.numerator * (bscale // b.denominator)
+        if row[n] < 0:
             row = [-v for v in row]
         tableau.append(row)
         basis.append(n + i)
@@ -197,12 +236,20 @@ def find_nonnegative_combination(
             x = Fraction(tableau[i][n] * scale, den * bscale)
             solution[kept[j]] = x
             support.append((columns[kept[j]], x))
-    # The check shares no scaling with the tableau: exact fractions against
-    # the caller's full system, summed at each support column's nonzeros.
-    total = [ZERO] * len(target)
+    # The check shares no scaling with the tableau.  With the support's
+    # values over their lcm dx and its columns over theirs dc, total[r] is
+    # row r of A x times dx * dc, in integers, summed only at the support
+    # columns' entries.
+    dx = lcm(*(x.denominator for _, x in support))
+    dc = lcm(*{v.denominator for column, _ in support for _, v in column})
+    total = [0] * len(target)
     for column, x in support:
-        for i in compress(range(len(total)), column):
-            total[i] += x * column[i]
-    if any(t != b for t, b in zip(total, target)):
-        raise AssertionError("simplex returned a vector that fails verification")
+        xn = x.numerator * (dx // x.denominator)
+        for r, v in column:
+            total[r] += xn * v.numerator * (dc // v.denominator)
+    unit = dx * dc
+    for t, b in zip(total, target):
+        numerator, denominator = b.as_integer_ratio()
+        if t * denominator != numerator * unit:
+            raise AssertionError("simplex returned a vector that fails verification")
     return solution

@@ -86,10 +86,12 @@ def _lp_inverse(p, tag: str, side: str) -> bool:
             twin = index[a[::-1], b[::-1]]
             if twin > k:
                 rows.append(({k: 1, twin: -1}, Fraction(0)))
-    columns = [[0] * len(rows) for _ in unknowns]
+    # Row r's dict holds one coefficient per unknown: entry (r, value) of
+    # that unknown's sparse column.
+    columns = [[] for _ in unknowns]
     for r, (coeffs, _) in enumerate(rows):
         for k, value in coeffs.items():
-            columns[k][r] += value
+            columns[k].append((r, value))
     target = [value for _, value in rows]
     return find_nonnegative_combination(columns, target) is not None
 

@@ -242,6 +242,24 @@ def test_is_symmetric_examples():
     for seed in range(3):
         assert is_symmetric(random_correlation("classical", B, T, seed))
     assert not is_symmetric(CYCLIC)
+    # Mass moved from output (0, 0) to (1, 1) at input (0, 1) breaks symmetry
+    # only inside the two output rows that the swap fixes.
+    matrix = [list(row) for row in make_correlation(B, B, [["1/4"] * 4] * 4).matrix]
+    matrix[0][1], matrix[3][1] = F(1, 8), F(3, 8)
+    assert not is_symmetric(make_correlation(B, B, matrix))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mixtures_with_one_moved_entry(), correlations(T, B), correlations(B, T)))
+def test_is_symmetric_matches_its_definition(p):
+    # A moved entry of a mixture breaks symmetry at one entry, in a row the
+    # swap fixes or in one it moves.
+    expected = all(
+        p.entry_by_index(ya, yb, xa, xb) == p.entry_by_index(yb, ya, xb, xa)
+        for ya, yb in p.output_set.pairs()
+        for xa, xb in p.input_set.pairs()
+    )
+    assert is_symmetric(p) == expected
 
 
 def test_is_deterministic_roundtrip():

@@ -3,13 +3,19 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncgames import category, constructors, finite_set
+from syncgames import category, constructors, finite_set, simplex
 from syncgames.boole import triple_inequalities
 from syncgames.corrcore import PairWeights
 from syncgames.simplex import _presolve, find_nonnegative_combination
+
+
+def _sparse(dense):
+    """Dense columns as the library's sparse ``(row, coefficient)`` columns."""
+    return [[(r, v) for r, v in enumerate(column) if v] for column in dense]
 
 
 def fraction_phase_one(columns, target):
@@ -85,33 +91,33 @@ def test_empty_columns():
 
 def test_zero_rows():
     columns = [[F(1), F(0)], [F(2), F(0)]]
-    assert find_nonnegative_combination(columns, [F(1), F(1)]) is None
-    assert find_nonnegative_combination(columns, [F(1), F(0)]) == [F(1), F(0)]
-    assert find_nonnegative_combination([[F(0)], [F(0)]], [F(0)]) == [F(0), F(0)]
+    assert find_nonnegative_combination(_sparse(columns), [F(1), F(1)]) is None
+    assert find_nonnegative_combination(_sparse(columns), [F(1), F(0)]) == [F(1), F(0)]
+    assert find_nonnegative_combination(_sparse([[F(0)], [F(0)]]), [F(0)]) == [F(0), F(0)]
 
 
 def test_duplicate_rows():
     columns = [[F(1), F(1)], [F(0), F(0)]]
-    assert find_nonnegative_combination(columns, [F(1, 2), F(1, 3)]) is None
-    assert find_nonnegative_combination(columns, [F(1, 2), F(1, 2)]) == [F(1, 2), F(0)]
+    assert find_nonnegative_combination(_sparse(columns), [F(1, 2), F(1, 3)]) is None
+    assert find_nonnegative_combination(_sparse(columns), [F(1, 2), F(1, 2)]) == [F(1, 2), F(0)]
 
 
 def test_negative_targets_flip_the_row():
     columns = [[F(-1), F(0)], [F(0), F(-3)], [F(1), F(1)]]
-    assert find_nonnegative_combination(columns, [F(-1, 2), F(-1)]) == [F(1, 2), F(1, 3), F(0)]
-    assert find_nonnegative_combination([[F(1)], [F(2)]], [F(-1)]) is None
+    assert find_nonnegative_combination(_sparse(columns), [F(-1, 2), F(-1)]) == [F(1, 2), F(1, 3), F(0)]
+    assert find_nonnegative_combination(_sparse([[F(1)], [F(2)]]), [F(-1)]) is None
 
 
 def test_fractional_and_negative_coefficients_share_one_scale():
     # Denominators 2, 3 and 5: the integer tableau carries the scale 30,
     # and the result comes back unscaled.
     columns = [[F(1, 2), F(-1, 3)], [F(2, 5), F(1, 3)], [F(-1), F(-1)]]
-    x = find_nonnegative_combination(columns, [F(1, 3), F(1, 9)])
+    x = find_nonnegative_combination(_sparse(columns), [F(1, 3), F(1, 9)])
     assert x == fraction_phase_one(columns, [F(1, 3), F(1, 9)])
     assert all(v >= 0 for v in x)
     for i, b in enumerate([F(1, 3), F(1, 9)]):
         assert sum(x[j] * columns[j][i] for j in range(3)) == b
-    assert find_nonnegative_combination([[F(1, 2)], [F(-1, 3)]], [F(-1)]) == [F(0), F(3)]
+    assert find_nonnegative_combination(_sparse([[F(1, 2)], [F(-1, 3)]]), [F(-1)]) == [F(0), F(3)]
 
 
 def test_ratio_ties_leave_the_smallest_basis_index():
@@ -119,10 +125,10 @@ def test_ratio_ties_leave_the_smallest_basis_index():
     # removes row 0's artificial, and the degenerate pivot that follows
     # brings in the third column at value zero.
     columns = [[F(1), F(1)], [F(1), F(0)], [F(0), F(1)]]
-    assert find_nonnegative_combination(columns, [F(1), F(1)]) == [F(1), F(0), F(0)]
+    assert find_nonnegative_combination(_sparse(columns), [F(1), F(1)]) == [F(1), F(0), F(0)]
     columns = [[F(1), F(2), F(1)], [F(2), F(4), F(0)], [F(0), F(0), F(1)], [F(1), F(0), F(0)]]
     target = [F(2), F(4), F(1)]
-    assert find_nonnegative_combination(columns, target) == fraction_phase_one(columns, target)
+    assert find_nonnegative_combination(_sparse(columns), target) == fraction_phase_one(columns, target)
 
 
 def test_forced_columns_change_the_vertex():
@@ -132,7 +138,7 @@ def test_forced_columns_change_the_vertex():
     # vertex of the same system.
     columns = [[0, 2, F(1, 2)], [-1, 1, 2], [-1, F(1, 2), 2], [0, 1, 2], [0, -1, 0], [0, -1, 1]]
     target = [0, 0, 2]
-    x = find_nonnegative_combination(columns, target)
+    x = find_nonnegative_combination(_sparse(columns), target)
     assert x == fraction_phase_one(columns, target) == [0, 0, 0, 1, 1, 0]
 
 
@@ -140,8 +146,8 @@ def test_every_column_forced():
     columns = [[F(1), F(0)], [F(2), F(1)]]
     # Row 0 forces both columns; the nonzero target of row 1 is then out of
     # reach, and a zero target leaves the all-zero solution of full length.
-    assert find_nonnegative_combination(columns, [F(0), F(1)]) is None
-    assert find_nonnegative_combination(columns, [F(0), F(0)]) == [F(0), F(0)]
+    assert find_nonnegative_combination(_sparse(columns), [F(0), F(1)]) is None
+    assert find_nonnegative_combination(_sparse(columns), [F(0), F(0)]) == [F(0), F(0)]
     assert fraction_phase_one(columns, [F(0), F(1)]) is None
 
 
@@ -151,24 +157,24 @@ def test_a_farkas_row_ends_phase_one():
     # leaves row 1 as (-1, 0 | 1): -x0 = 1 has no solution with x0 >= 0, so
     # phase one stops there.  A reachable target keeps its vertex.
     columns = [[F(1), F(1)], [F(1), F(2)]]
-    assert find_nonnegative_combination(columns, [F(1), F(3)]) is None
+    assert find_nonnegative_combination(_sparse(columns), [F(1), F(3)]) is None
     assert fraction_phase_one(columns, [F(1), F(3)]) is None
-    assert find_nonnegative_combination(columns, [F(1), F(2)]) == [F(0), F(1)]
+    assert find_nonnegative_combination(_sparse(columns), [F(1), F(2)]) == [F(0), F(1)]
 
 
 def test_a_nonpositive_zero_row_forces_its_columns():
     columns = [[F(-1), F(1)], [F(0), F(1)], [F(-2), F(3)]]
-    kept, rows = _presolve(columns, [F(0), F(2)])
-    assert kept == [1] and rows == [((F(1),), F(2))]
-    assert find_nonnegative_combination(columns, [F(0), F(2)]) == [F(0), F(2), F(0)]
-    assert find_nonnegative_combination(columns, [F(0), F(-1)]) is None
+    kept, rows = _presolve(_sparse(columns), [F(0), F(2)])
+    assert kept == [1] and rows == [(((0, F(1)),), F(2))]
+    assert find_nonnegative_combination(_sparse(columns), [F(0), F(2)]) == [F(0), F(2), F(0)]
+    assert find_nonnegative_combination(_sparse(columns), [F(0), F(-1)]) is None
 
 
 def test_a_mixed_sign_zero_row_forces_nothing():
     columns = [[F(1), F(1)], [F(-1), F(1)], [F(0), F(1)]]
-    assert _presolve(columns, [F(0), F(2)])[0] == [0, 1, 2]
+    assert _presolve(_sparse(columns), [F(0), F(2)])[0] == [0, 1, 2]
     # x0 - x1 = 0 lets both columns take positive values.
-    x = find_nonnegative_combination(columns, [F(0), F(2)])
+    x = find_nonnegative_combination(_sparse(columns), [F(0), F(2)])
     assert x == fraction_phase_one(columns, [F(0), F(2)]) == [F(1), F(1), F(0)]
 
 
@@ -177,12 +183,40 @@ def test_a_pruned_solution_keeps_the_callers_length():
     # the system, and the solution still has one entry per column.
     columns = [[1, 1, 0], [0, 1, 0], [1, 0, 1], [0, 0, 1], [0, 1, 1]]
     target = [0, F(1, 3), F(2, 3)]
-    x = find_nonnegative_combination(columns, target)
+    x = find_nonnegative_combination(_sparse(columns), target)
     assert len(x) == len(columns)
     assert x[0] == x[2] == 0
     assert x == fraction_phase_one(columns, target)
     for i, b in enumerate(target):
         assert sum(x[j] * columns[j][i] for j in range(len(columns))) == b
+
+
+def test_a_zero_coefficient_is_skipped():
+    # Row 0 has target 0.  Skipping column 1's explicit zero there leaves
+    # one sign, so row 0 forces column 0 alone.  Read as a negative sign the
+    # zero would force nothing; read as an entry it would force column 1 as
+    # well, and row 1 would be out of reach.
+    target = [F(0), F(1)]
+    explicit = [[(0, F(1)), (1, F(1))], [(0, F(0)), (1, F(1))]]
+    dense = [[F(1), F(1)], [F(0), F(1)]]
+    expected = ([1], [(((0, F(1)),), F(1))])
+    assert _presolve(explicit, target) == _presolve(_sparse(dense), target) == expected
+    assert find_nonnegative_combination(explicit, target) == [F(0), F(1)]
+
+
+def test_the_final_check_reads_the_returned_values(monkeypatch):
+    # Each value built one unit off its tableau entry fails the check.
+    monkeypatch.setattr(simplex, "Fraction", lambda n, d: F(n + 1, d))
+    with pytest.raises(AssertionError, match="fails verification"):
+        find_nonnegative_combination(_sparse([[1, 0], [0, 1]]), [F(1, 2), F(1, 3)])
+
+
+def test_a_repeated_row_in_a_column_is_rejected():
+    with pytest.raises(ValueError, match="column 1 repeats row 0"):
+        find_nonnegative_combination([[(0, 1)], [(0, 1), (1, 2), (0, 1)]], [1, 1])
+    # Also in a column that the forcing rule would drop.
+    with pytest.raises(ValueError, match="column 0 repeats row 1"):
+        find_nonnegative_combination([[(1, 1), (0, 1), (1, 1)], [(1, 1)]], [0, 1])
 
 
 _ENTRIES = st.sampled_from([F(0), F(0), F(1), F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(5, 7)])
@@ -205,8 +239,22 @@ def systems(draw):
 @given(systems())
 def test_same_vertex_as_the_fraction_tableau(system):
     columns, target = system
-    x = find_nonnegative_combination(columns, target)
+    x = find_nonnegative_combination(_sparse(columns), target)
     assert x == fraction_phase_one(columns, target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.randoms(use_true_random=False))
+def test_entry_order_and_explicit_zeros_leave_the_answer(system, rng):
+    columns, target = system
+    shuffled = []
+    for column in columns:
+        entries = [(r, v) for r, v in enumerate(column) if v or rng.random() < 0.5]
+        rng.shuffle(entries)
+        shuffled.append(entries)
+    assert _presolve(shuffled, target) == _presolve(_sparse(columns), target)
+    x = find_nonnegative_combination(shuffled, target)
+    assert x == find_nonnegative_combination(_sparse(columns), target)
 
 
 # Distinct large primes: a target over several of them has a large lcm.
@@ -222,7 +270,7 @@ def test_large_prime_denominators_and_a_negative_row():
     x = [F(1, p) for p in _PRIMES[2:]]
     target = [sum(x[j] * columns[j][i] for j in range(3)) for i in range(3)]
     assert target[1] < 0
-    assert find_nonnegative_combination(columns, target) == x == fraction_phase_one(columns, target)
+    assert find_nonnegative_combination(_sparse(columns), target) == x == fraction_phase_one(columns, target)
 
 
 def test_ratio_ties_across_different_denominators():
@@ -232,14 +280,14 @@ def test_ratio_ties_across_different_denominators():
     # other choice ends at the vertex (0, 7/20, 4/5, 7/10).
     columns = [[F(1), F(1), F(0)], [F(1), F(2), F(0)], [F(1, 2), F(1, 3), F(1)], [F(0), F(1), F(1)]]
     target = [F(3, 4), F(5, 3), F(3, 2)]
-    x = find_nonnegative_combination(columns, target)
+    x = find_nonnegative_combination(_sparse(columns), target)
     assert x == fraction_phase_one(columns, target) == [F(1, 2), F(0), F(1, 2), F(1)]
 
 
 def test_plain_int_target():
     columns = [[1, 0, 2], [0, 2, 1], [1, 1, 1]]
-    assert find_nonnegative_combination(columns, [3, 4, 5]) == fraction_phase_one(columns, [3, 4, 5])
-    assert find_nonnegative_combination(columns, [-1, 0, 1]) is None
+    assert find_nonnegative_combination(_sparse(columns), [3, 4, 5]) == fraction_phase_one(columns, [3, 4, 5])
+    assert find_nonnegative_combination(_sparse(columns), [-1, 0, 1]) is None
 
 
 @st.composite
@@ -266,7 +314,7 @@ def rational_rhs_systems(draw):
 @given(rational_rhs_systems())
 def test_same_vertex_with_rational_and_int_targets(system):
     columns, target = system
-    assert find_nonnegative_combination(columns, target) == fraction_phase_one(columns, target)
+    assert find_nonnegative_combination(_sparse(columns), target) == fraction_phase_one(columns, target)
 
 
 def labels(n):
@@ -331,6 +379,28 @@ PINNED = {
         },
     ),
 }
+
+
+def test_classical_decomposition_passes_one_sparse_column_per_strategy(monkeypatch):
+    calls = []
+
+    def spy(columns, target):
+        calls.append((columns, target))
+        return find_nonnegative_combination(columns, target)
+
+    monkeypatch.setattr(category, "find_nonnegative_combination", spy)
+    for nx, ny in ((3, 2), (2, 3)):
+        calls.clear()
+        assert category.classical_decomposition(_mixture(nx, nx, ny)) is not None
+        [(columns, target)] = calls
+        assert len(columns) == ny**nx and len(target) == ny**2 * nx**2
+        for f, column in zip(constructors.enumerate_functions(nx, ny), columns):
+            assert len(column) == nx**2
+            dense = [0] * len(target)
+            for r, v in column:
+                dense[r] += v
+            strategy = constructors.from_function_indices(labels(nx), labels(ny), f)
+            assert dense == [v for row in strategy.matrix for v in row]
 
 
 def test_pinned_models():
