@@ -16,14 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import mul
 from typing import Optional
 
-from .constructors import ClassicalModel, classical_model, enumerate_functions
-from .corrcore import ONE, ZERO, Correlation, DeterministicPair, common_denominator
+from .constructors import ClassicalModel, enumerate_functions
+from .corrcore import ZERO, Correlation, DeterministicPair, common_denominator
 from .errors import NotSynchronousError, SetMismatchError
-from .simplex import find_nonnegative_combination
+from .simplex import SparseColumns, find_nonnegative_combination
 
 
 def compose(q: Correlation, p: Correlation) -> Correlation:
@@ -33,13 +35,13 @@ def compose(q: Correlation, p: Correlation) -> Correlation:
             f"cannot compose: outer input set {q.input_set.labels!r} differs from "
             f"inner output set {p.output_set.labels!r}"
         )
-    # Each row of q and each column of p over its own lcm: integer dot
-    # products, then one Fraction per entry.
+    # Each row of q over its own lcm, and each column of p over the lcm it
+    # keeps: integer dot products, then one Fraction per entry.
     q_rows = []
     for row in q.matrix:
         d, nums = common_denominator(row)
         q_rows.append((d, [(k, v) for k, v in enumerate(nums) if v]))
-    p_cols = [common_denominator(column) for column in zip(*p.matrix)]
+    p_cols = list(zip(p.lcms, p.columns))
     matrix = []
     for dq, nonzero in q_rows:
         out_row = []
@@ -53,36 +55,34 @@ def compose(q: Correlation, p: Correlation) -> Correlation:
 def is_synchronous(p: Correlation) -> bool:
     """Equal inputs force equal outputs."""
     ny = p.output_set.size
+    off_diagonal = [r for r in range(ny * ny) if r // ny != r % ny]
     for x in range(p.input_set.size):
-        c = p.input_set.pair_index(x, x)
-        for ya in range(ny):
-            for yb in range(ny):
-                if ya != yb and p.matrix[p.output_set.pair_index(ya, yb)][c] != 0:
-                    return False
+        column = p.columns[p.input_set.pair_index(x, x)]
+        if any(column[r] for r in off_diagonal):
+            return False
     return True
 
 
 def is_nonsignaling(p: Correlation) -> bool:
     """Each player's marginal is independent of the other player's input.
 
-    Each column is cleared over its own lcm ``d`` and its two marginals are
-    summed in ``int``s.  Column ``(xa, xb)`` is compared with ``(xa, 0)``
-    and ``(0, xb)``, both already seen in index order, by cross-multiplying
-    with the other column's ``d``.
+    Each column's two marginals are sums of slices of its integer
+    numerators, brought over ``D``, the lcm of all column lcms, by one
+    multiplication each.  Column ``(xa, xb)`` is then compared with
+    ``(xa, 0)`` and ``(0, xb)``, both already seen in index order, by
+    plain equality.
     """
-    ny = p.output_set.size
-    marginals = []
-    for c, column in enumerate(zip(*p.matrix)):
-        d, nums = common_denominator(column)
-        rows = [nums[ya * ny : (ya + 1) * ny] for ya in range(ny)]
-        a, b = [sum(row) for row in rows], [sum(col) for col in zip(*rows)]
-        marginals.append((d, a, b))
-        xa, xb = p.input_set.pair_of(c)
-        d_a, a_ref, _ = marginals[p.input_set.pair_index(xa, 0)]
-        d_b, _, b_ref = marginals[p.input_set.pair_index(0, xb)]
-        if any(u * d_a != v * d for u, v in zip(a, a_ref)):
-            return False
-        if any(u * d_b != v * d for u, v in zip(b, b_ref)):
+    nx, ny = p.input_set.size, p.output_set.size
+    d = lcm(*p.lcms)
+    alice, bob = [], []
+    for c, (e, nums) in enumerate(zip(p.lcms, p.columns)):
+        scale = d // e
+        a = [sum(nums[k : k + ny]) * scale for k in range(0, ny * ny, ny)]
+        b = [sum(nums[k::ny]) * scale for k in range(ny)]
+        alice.append(a)
+        bob.append(b)
+        xa, xb = divmod(c, nx)
+        if a != alice[xa * nx] or b != bob[xb]:
             return False
     return True
 
@@ -90,42 +90,36 @@ def is_nonsignaling(p: Correlation) -> bool:
 def is_symmetric(p: Correlation) -> bool:
     """Swapping both players' inputs and outputs leaves ``p`` unchanged.
 
-    The swap sends the flat pair index ``a * n + b`` to ``b * n + a``.  Each
-    entry is compared with its swapped entry once: rows ``r < swap(r)``
-    against their swapped row at every column, and each row fixed by the
-    swap against itself at the columns ``c < swap(c)``.
+    The swap sends the flat pair index ``a * n + b`` to ``b * n + a``, and
+    ``p`` is symmetric when each column ``c`` equals column ``swap(c)`` with
+    its rows swapped.  A column's lcm and numerators are canonical, so that
+    holds exactly when the two lcms are equal and the swapped numerators
+    match.  Each column ``c <= swap(c)`` is compared once.
     """
     nx, ny = p.input_set.size, p.output_set.size
-    swapped_columns = [c % nx * nx + c // nx for c in range(nx * nx)]
-    low = [c for c, t in enumerate(swapped_columns) if c < t]
-    high = [swapped_columns[c] for c in low]
     swapped_rows = [r % ny * ny + r // ny for r in range(ny * ny)]
-    for r, s in enumerate(swapped_rows):
-        row = p.matrix[r]
-        if r < s:
-            twin = p.matrix[s]
-            if list(row) != [twin[t] for t in swapped_columns]:
+    for c in range(nx * nx):
+        t = c % nx * nx + c // nx
+        if c <= t:
+            twin = p.columns[t]
+            if p.lcms[c] != p.lcms[t] or list(p.columns[c]) != [twin[s] for s in swapped_rows]:
                 return False
-        elif r == s and [row[c] for c in low] != [row[t] for t in high]:
-            return False
     return True
 
 
 def is_deterministic(p: Correlation) -> Optional[DeterministicPair]:
-    """The answer tables when every column is a point mass, else None."""
+    """The answer tables when every column is a point mass, else None.
+
+    A column sums to 1, so it is a point mass exactly when its lcm is 1:
+    its nonnegative integer numerators then hold one 1.
+    """
+    if any(d != 1 for d in p.lcms):
+        return None
     nx = p.input_set.size
     f_a = [[0] * nx for _ in range(nx)]
     f_b = [[0] * nx for _ in range(nx)]
     for i, j in p.input_set.pairs():
-        c = p.input_set.pair_index(i, j)
-        hit = None
-        for r in range(p.row_count):
-            value = p.matrix[r][c]
-            if value != 0:
-                if value != ONE or hit is not None:
-                    return None
-                hit = r
-        ya, yb = p.output_set.pair_of(hit)
+        ya, yb = p.output_set.pair_of(p.columns[p.input_set.pair_index(i, j)].index(1))
         f_a[i][j] = ya
         f_b[i][j] = yb
     return DeterministicPair(
@@ -147,20 +141,20 @@ def deterministic_function(p: Correlation) -> Optional[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=8)
-def _strategies(
-    nx: int, ny: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+def _strategies(nx: int, ny: int) -> tuple[tuple[tuple[int, ...], ...], SparseColumns]:
     """Every function ``X -> Y`` as an index tuple, and its sparse LP column.
 
-    Both are built once per shape.  The function tuples become the keys of
-    returned models, so all models of one shape share them instead of each
-    holding copies (about a quarter of a kept model's memory).  Function
+    Both are built once per shape, and the columns are validated and
+    indexed once, as :class:`SparseColumns`.  The function tuples become the
+    keys of returned models, so all models of one shape share them instead
+    of each holding copies (about a quarter of a kept model's memory).  Function
     ``f`` puts a 1 at output pair ``(f(i), f(j))`` of every input pair
     ``(i, j)``: its column has the ``|X|^2`` entries
     ``((f(i) * |Y| + f(j)) * |X|^2 + (i * |X| + j), 1)``, the flat row-major
     indices of those entries in a correlation matrix.  The cache holds only
     immutable tuples, and each ``(row, 1)`` entry once: the 3125 columns of
-    a 5 -> 5 shape and their functions take about 1 MB.
+    a 5 -> 5 shape and their functions take about 1 MB, and the columns'
+    row bitmasks about 0.25 MB more.
     """
     functions = tuple(enumerate_functions(nx, ny))
     m = nx * nx
@@ -169,7 +163,7 @@ def _strategies(
     columns = tuple(
         tuple(entries[(f[i] * ny + f[j]) * m + c] for c, (i, j) in pairs) for f in functions
     )
-    return functions, columns
+    return functions, SparseColumns(columns)
 
 
 def classical_decomposition(p: Correlation) -> Optional[ClassicalModel]:
@@ -182,17 +176,25 @@ def classical_decomposition(p: Correlation) -> Optional[ClassicalModel]:
     is symmetric and nonsignaling, so callers that already know ``p`` is
     not both (:func:`classify`, ``morphology.Analysis``) skip the call.
     The caller can re-expand the returned model to confirm it.
+
+    The LP's target is ``D * p`` in integers, with ``D`` the lcm of the
+    column lcms, flattened row-major; its solution is ``D`` times the
+    measure.  A positive scale of the target changes no reduced-cost sign
+    and no ratio order, so the pivots and the vertex are those of ``p``.
     """
     if not is_synchronous(p):
         raise NotSynchronousError("classical decompositions exist only for synchronous inputs")
-    nx = p.input_set.size
-    ny = p.output_set.size
-    functions, columns = _strategies(nx, ny)
-    solution = find_nonnegative_combination(columns, list(chain.from_iterable(p.matrix)))
+    functions, columns = _strategies(p.input_set.size, p.output_set.size)
+    d = lcm(*p.lcms)
+    scales = [d // e for e in p.lcms]
+    target = list(chain.from_iterable(map(mul, row, scales) for row in zip(*p.columns)))
+    solution = find_nonnegative_combination(columns, target)
     if solution is None:
         return None
-    mu = {f: value for f, value in zip(functions, solution) if value != 0}
-    return classical_model(p.input_set, p.output_set, mu)
+    weights = [
+        (f, Fraction(x.numerator, x.denominator * d)) for f, x in zip(functions, solution) if x
+    ]
+    return ClassicalModel(p.input_set, p.output_set, weights)
 
 
 @dataclass(frozen=True, slots=True)

@@ -153,7 +153,6 @@ class ClassicalModel:
         n = input_set.size
         m = output_set.size
         seen: dict[tuple[int, ...], Fraction] = {}
-        total = ZERO
         for key, raw in weights:
             key = tuple(key)
             if len(key) != n or any(
@@ -165,14 +164,14 @@ class ClassicalModel:
             if key in seen:
                 raise WeightsNotNormalizedError(f"duplicate function key {key!r}")
             weight = as_rational(raw)
-            if weight < 0:
+            if weight.numerator < 0:
                 raise WeightsNotNormalizedError(f"weight of {key!r} is negative: {weight}")
             seen[key] = weight
-            total += weight
-        if total != ONE:
-            raise WeightsNotNormalizedError(f"weights sum to {total}, expected 1")
-        functions = tuple(sorted(k for k, w in seen.items() if w != 0))
+        functions = tuple(sorted(k for k, w in seen.items() if w))
         denominator, numerators = common_denominator([seen[k] for k in functions])
+        if sum(numerators) != denominator:
+            total = Fraction(sum(numerators), denominator)
+            raise WeightsNotNormalizedError(f"weights sum to {total}, expected 1")
         object.__setattr__(self, "input_set", input_set)
         object.__setattr__(self, "output_set", output_set)
         object.__setattr__(self, "functions", functions)

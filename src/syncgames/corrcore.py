@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -166,11 +166,20 @@ class Correlation:
     each column sums to exactly one, so any held instance is a genuine
     correlation.  Prefer :func:`make_correlation` when starting from raw
     nested sequences.
+
+    The column-sum check clears each column over its own lcm, and the
+    instance keeps the result: ``lcms[c]`` is that lcm and ``columns[c]``
+    the integer numerators of column ``c`` over it, so that
+    ``matrix[r][c] == columns[c][r] / lcms[c]``.  The exact kernels read
+    these instead of clearing the matrix again.  Both are derived from
+    ``matrix``, so equality, hashing and ``repr`` ignore them.
     """
 
     input_set: FiniteSet
     output_set: FiniteSet
     matrix: tuple[tuple[Fraction, ...], ...]
+    lcms: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = self.output_set.pair_count
@@ -186,6 +195,7 @@ class Correlation:
                     f"expected {cols} columns for input set of size {self.input_set.size}, "
                     f"row {r} has {len(row)}"
                 )
+        lcms, columns = [], []
         for c, column in enumerate(zip(*self.matrix)):
             for r, value in enumerate(column):
                 if not isinstance(value, Fraction):
@@ -195,6 +205,10 @@ class Correlation:
             d, numerators = common_denominator(column)
             if sum(numerators) != d:
                 raise ColumnSumNotOneError(c, Fraction(sum(numerators), d))
+            lcms.append(d)
+            columns.append(tuple(numerators))
+        object.__setattr__(self, "lcms", tuple(lcms))
+        object.__setattr__(self, "columns", tuple(columns))
 
     def entry(self, y_a: str, y_b: str, x_a: str, x_b: str) -> Fraction:
         """``p(y_a, y_b | x_a, x_b)`` looked up by labels."""

@@ -64,7 +64,6 @@ from .corrcore import (
     KernelVector,
     PairDistribution,
     PairWeights,
-    common_denominator,
     format_rational,
     from_json_dict as correlation_from_json_dict,
     identity,
@@ -258,31 +257,30 @@ def _nullspace(
     return basis
 
 
-def _integer_columns(matrix: Sequence[Sequence[Fraction]]) -> tuple[tuple, tuple]:
-    """Each column of a rational ``matrix`` over its own lcm: ``(lcms, columns)``."""
-    return tuple(zip(*(common_denominator(column) for column in zip(*matrix))))
+def _right_nullspace(
+    lcms: Sequence[int], columns: Sequence[Sequence[int]]
+) -> list[tuple[Fraction, ...]]:
+    """Nullspace of the matrix whose column ``c`` is ``columns[c] / lcms[c]``."""
+    return _nullspace(list(zip(*columns)), lcms)
 
 
-def _right_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    scales, columns = _integer_columns(matrix)
-    return _nullspace(list(zip(*columns)), scales)
+def _left_nullspace(columns: Sequence[Sequence[int]]) -> list[tuple[Fraction, ...]]:
+    """Left nullspace of the same matrix, which needs no ``lcms``.
 
-
-def _left_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    # These solve ``M^T w = 0``.  Scaling a row of ``M^T`` (a column of
-    # ``M``) leaves its reduced echelon form unchanged: no scale is undone.
-    _, columns = _integer_columns(matrix)
-    return _nullspace(columns, (1,) * len(matrix))
+    These solve ``M^T w = 0``.  Scaling a row of ``M^T`` (a column of ``M``)
+    leaves its reduced echelon form unchanged: no scale is undone.
+    """
+    return _nullspace(columns, (1,) * len(columns[0]))
 
 
 def right_nullspace_basis(p: Correlation) -> list[KernelVector]:
     """Vectors ``u`` with ``P u = 0``, indexed over input pairs."""
-    return [KernelVector("right", p.input_set, v) for v in _right_nullspace(p.matrix)]
+    return [KernelVector("right", p.input_set, v) for v in _right_nullspace(p.lcms, p.columns)]
 
 
 def left_nullspace_basis(p: Correlation) -> list[KernelVector]:
     """Vectors ``w`` with ``w P = 0``, indexed over output pairs."""
-    return [KernelVector("left", p.output_set, v) for v in _left_nullspace(p.matrix)]
+    return [KernelVector("left", p.output_set, v) for v in _left_nullspace(p.columns)]
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +641,7 @@ def epi_witness(p, cat) -> Optional[WitnessPair]:
 def _section_choice(p: Correlation) -> Optional[Choice]:
     """Each output pair in a column's support mapped to that input pair, or None."""
     chosen: Choice = {}
-    for c, column in enumerate(zip(*p.matrix)):
+    for c, column in enumerate(p.columns):
         x = p.input_set.pair_of(c)
         for r, value in enumerate(column):
             if value:
@@ -657,7 +655,7 @@ def _section_choice(p: Correlation) -> Optional[Choice]:
 def _retraction_choice(p: Correlation) -> Optional[Choice]:
     """Each output pair mapped to the first (diagonal) input pair sure of it, or None."""
     chosen: Choice = {}
-    for c, column in enumerate(zip(*p.matrix)):
+    for c, column in enumerate(p.columns):
         support = [r for r, value in enumerate(column) if value]
         if len(support) == 1:
             x = p.input_set.pair_of(c)

@@ -1,22 +1,32 @@
 """Exact feasibility of ``A x = b, x >= 0`` by phase-one simplex.
 
 The columns of ``A`` are sparse and ``b`` is dense.  Column ``j`` is a
-sequence of ``(row, coefficient)`` pairs, each row an index into ``b``
-(``0 <= row < len(b)``), with ``int`` or ``Fraction`` coefficients; no
-dense column of ``A`` is ever built.  A row appears at most once in a
-column, and a repeat raises ValueError.  A zero coefficient is skipped,
-the same as an absent entry.  The order of a column's pairs does not
-change the answer.
+sequence of ``(row, coefficient)`` pairs, each row a nonnegative index
+into ``b``, with ``int`` or ``Fraction`` coefficients; no dense column of
+``A`` is ever built.  A row appears at most once in a column.  A zero
+coefficient is skipped, the same as an absent entry.  The order of a
+column's pairs does not change the answer.
+
+The columns are handed over as :class:`SparseColumns`, which validates
+them once, when it is built: a negative or repeated row raises
+ValueError there.  It also records, as one ``int`` bitmask per column,
+the rows where the column is nonzero, and as one more bitmask the rows
+whose coefficients take both signs.  A caller that solves many systems
+over the same columns, as a classical decomposition does for every
+correlation of one shape, builds it once.  Each solve then only checks
+that the largest row is an index into its target.
 
 A presolve pass first applies the forcing rule of LP presolve (Andersen
 and Andersen 1995): a row with target 0 whose coefficients all have one
 sign forces every variable with a nonzero coefficient in it to 0, so those
-columns never enter the tableau and stay 0 in the solution.  For a
-classical decomposition, whose columns are 0/1, this drops every strategy
-that hits a zero of the correlation.  The pass then removes duplicate and
-zero rows (detecting trivially inconsistent systems along the way), which
-keeps the tableau small for the highly redundant systems produced by
-correlation decompositions.
+columns never enter the tableau and stay 0 in the solution.  The forcing
+rows are the zero-target rows outside the both-signs mask, and a column is
+kept when its mask misses them all: one ``&`` per column, with no pass
+over the entries.  For a classical decomposition, whose columns are 0/1,
+this drops every strategy that hits a zero of the correlation.  The pass
+then removes duplicate and zero rows (detecting trivially inconsistent
+systems along the way), which keeps the tableau small for the highly
+redundant systems produced by correlation decompositions.
 
 The tableau is fraction-free (Bareiss 1968) and held as Python ``int``
 rows over one common denominator: each pivot replaces every other row by
@@ -57,7 +67,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 Column = Sequence[tuple[int, Rational]]
@@ -66,44 +76,82 @@ Pattern = tuple[tuple[int, Rational], ...]
 ZERO = Fraction(0)
 
 
+class SparseColumns:
+    """Validated sparse columns of ``A``, with each column's row bitmask.
+
+    ``SparseColumns(columns)`` takes an iterable of columns, each a sequence
+    of ``(row, coefficient)`` pairs, and keeps them as tuples.  It raises
+    ValueError for a negative row or a row repeated within a column (an
+    explicit zero counts).  ``masks[j]`` has bit ``r`` set when column ``j``
+    is nonzero in row ``r``; ``mixed`` has bit ``r`` set when row ``r`` has
+    both a positive and a negative coefficient; ``top`` is the largest row
+    of any entry, or -1.  ``len()`` and iteration give the columns.
+    """
+
+    __slots__ = ("columns", "masks", "mixed", "top")
+
+    def __init__(self, columns: Iterable[Column]) -> None:
+        self.columns = tuple(map(tuple, columns))
+        masks = []
+        positive = negative = 0
+        top = -1
+        for j, column in enumerate(self.columns):
+            seen = mask = 0
+            for r, v in column:
+                if r < 0:
+                    raise ValueError(f"column {j} has a negative row {r}")
+                bit = 1 << r
+                if seen & bit:
+                    raise ValueError(f"column {j} repeats row {r}")
+                seen |= bit
+                if v > 0:
+                    positive |= bit
+                elif v < 0:
+                    negative |= bit
+                else:
+                    continue
+                mask |= bit
+            masks.append(mask)
+            top = max(top, seen.bit_length() - 1)
+        self.masks = tuple(masks)
+        self.mixed = positive & negative
+        self.top = top
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __iter__(self) -> Iterator[Column]:
+        return iter(self.columns)
+
+
 def _presolve(
-    columns: Sequence[Column], target: Sequence[Rational]
+    columns: SparseColumns, target: Sequence[Rational]
 ) -> Optional[tuple[list[int], list[tuple[Pattern, Rational]]]]:
     """Kept column indices and deduplicated row patterns; None means inconsistent.
 
-    One pass over the entries marks the signs each row's coefficients take
-    and rejects a repeated row.  A second drops every column forced to 0: one
-    with a nonzero entry in a row that has target 0 and a single sign.  A
-    third, over the kept columns only, builds each row's pattern ``((k, v),
-    ...)``, where ``k`` is the column's position among the kept ones, in
-    increasing ``k``.  The rows are then taken in index order: a zero row
-    must have target 0 and a repeated pattern the target of its first
-    occurrence, and both are dropped.  These are the rows, in the order,
-    that the dense tableau of the kept columns would keep.
+    The columns were validated when ``columns`` was built; here a row beyond
+    ``target`` raises ValueError.  The forcing rows are the rows with target
+    0 outside ``columns.mixed``, and every column whose mask meets them is
+    forced to 0 and dropped.  One pass over the kept columns builds each
+    row's pattern ``((k, v), ...)``, where ``k`` is the column's position
+    among the kept ones, in increasing ``k``.  The rows are then taken in
+    index order: a zero row must have target 0 and a repeated pattern the
+    target of its first occurrence, and both are dropped.  These are the
+    rows, in the order, that the dense tableau of the kept columns would
+    keep.
     """
     m = len(target)
-    signs = [0] * m  # bit 1: a positive coefficient, bit 2: a negative one
-    last = [-1] * m  # the last column seen in each row
-    for j, column in enumerate(columns):
-        for r, v in column:
-            if last[r] == j:
-                raise ValueError(f"column {j} repeats row {r}")
-            last[r] = j
-            if v > 0:
-                signs[r] |= 1
-            elif v < 0:
-                signs[r] |= 2
-    forcing = [s != 3 and b == 0 for s, b in zip(signs, target)]
-    kept = []
-    for j, column in enumerate(columns):
-        for r, v in column:
-            if v and forcing[r]:
-                break
-        else:
-            kept.append(j)
+    if columns.top >= m:
+        raise ValueError(f"row {columns.top} is beyond a target of length {m}")
+    forcing = 0
+    for r, b in enumerate(target):
+        if b == 0:
+            forcing |= 1 << r
+    forcing &= ~columns.mixed
+    kept = [j for j, mask in enumerate(columns.masks) if not mask & forcing]
     patterns: list[list[tuple[int, Rational]]] = [[] for _ in range(m)]
     for k, j in enumerate(kept):
-        for r, v in columns[j]:
+        for r, v in columns.columns[j]:
             if v:
                 patterns[r].append((k, v))
     seen: dict[Pattern, Rational] = {}
@@ -121,15 +169,18 @@ def _presolve(
 
 
 def find_nonnegative_combination(
-    columns: Sequence[Column], target: Sequence[Rational]
+    columns: SparseColumns, target: Sequence[Rational]
 ) -> Optional[list[Fraction]]:
     """Return ``x >= 0`` with ``sum x[j] * columns[j] == target``, or None.
 
-    Each column is a sparse sequence of ``(row, coefficient)`` pairs, each
-    row at most once; ``target`` is dense, one entry per row.  The returned
-    solution is deterministic (Bland's rule), has one entry per column and
-    is verified against the full system before being handed back.
+    ``columns`` is a :class:`SparseColumns`; ``target`` is dense, one entry
+    per row, and must cover every row of the columns (else ValueError).
+    The returned solution is deterministic (Bland's rule), has one entry
+    per column and is verified against the full system before being
+    handed back.
     """
+    if not isinstance(columns, SparseColumns):
+        raise TypeError("columns must be a SparseColumns")
     presolved = _presolve(columns, target)
     if presolved is None:
         return None
@@ -235,7 +286,7 @@ def find_nonnegative_combination(
         if j < n and tableau[i][n] != 0:
             x = Fraction(tableau[i][n] * scale, den * bscale)
             solution[kept[j]] = x
-            support.append((columns[kept[j]], x))
+            support.append((columns.columns[kept[j]], x))
     # The check shares no scaling with the tableau.  With the support's
     # values over their lcm dx and its columns over theirs dc, total[r] is
     # row r of A x times dx * dc, in integers, summed only at the support

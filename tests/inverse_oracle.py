@@ -7,7 +7,8 @@ no code with them.  Both inverses of ``p: X -> Y`` are correlations
 
 * ``S``, ``NS`` and ``Q``: the entries of ``q`` are the unknowns of one
   feasibility linear program, solved exactly by the library's
-  :func:`find_nonnegative_combination`.  Its rows say that each column of
+  :func:`find_nonnegative_combination` over its columns wrapped in
+  :class:`SparseColumns`.  Its rows say that each column of
   ``q`` sums to one and that the composition is the identity entry by
   entry.  ``q`` is synchronous because an entry ``q(a | b)`` with ``b`` on
   the diagonal and ``a`` off it is not an unknown at all.  For ``NS`` more
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from syncgames import compose, from_function_indices, identity
 from syncgames.constructors import enumerate_functions
-from syncgames.simplex import find_nonnegative_combination
+from syncgames.simplex import SparseColumns, find_nonnegative_combination
 
 SIDES = ("left", "right")
 
@@ -93,7 +94,7 @@ def _lp_inverse(p, tag: str, side: str) -> bool:
         for k, value in coeffs.items():
             columns[k].append((r, value))
     target = [value for _, value in rows]
-    return find_nonnegative_combination(columns, target) is not None
+    return find_nonnegative_combination(SparseColumns(columns), target) is not None
 
 
 def _nonsignaling_rows(nx: int, ny: int, index: dict):

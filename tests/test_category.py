@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -26,10 +27,12 @@ from syncgames import (
     is_synchronous,
     make_correlation,
     pair_distribution,
+    pair_weights,
     random_correlation,
     two_input_nonsignaling,
+    two_output_nonsignaling,
 )
-from syncgames import category
+from syncgames import category, corrcore
 from syncgames.corrcore import ZERO
 from syncgames.errors import NotSynchronousError, SetMismatchError
 
@@ -307,6 +310,47 @@ def test_classify_solves_no_lp_for_an_asymmetric_input(monkeypatch):
     assert (label.synchronous, label.symmetric, label.classical_decided) == (True, False, True)
     assert label.classical is None
     assert calls == []
+
+
+def _count_common_denominator(monkeypatch):
+    """Count calls through every ``syncgames`` binding of common_denominator,
+    each recorded by the module that made it."""
+    original = corrcore.common_denominator
+    callers = []
+
+    def counted(values):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return original(values)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "syncgames":
+            for attribute, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attribute, counted)
+    return callers
+
+
+def test_classify_clears_no_column_of_a_built_correlation(monkeypatch):
+    # Two-colouring three inputs: symmetric and nonsignaling, not classical.
+    half = F(1, 2)
+    odd_cycle = two_output_nonsignaling(
+        pair_weights(T, [[half, 0, 0], [0, half, 0], [0, 0, half]])
+    )
+    inputs = [odd_cycle, CYCLIC, SIGNALING, UNIFORM, identity(T), HALF_DIAGONAL]
+    callers = _count_common_denominator(monkeypatch)
+    make_correlation(B, B, [["1/4"] * 4] * 4)
+    assert callers == ["syncgames.corrcore"] * 4, "construction clears each column once"
+    callers.clear()
+    labels = [classify(p) for p in inputs]
+    assert [label.classical is not None for label in labels] == [False] * 4 + [True] * 2
+    assert labels[0].symmetric and labels[0].nonsignaling
+    # The predicates and the LP read the kept columns; the only call left
+    # clears the weights of each returned model.
+    assert callers == ["syncgames.constructors"] * 2
+    callers.clear()
+    for p in inputs[:4]:
+        classify(p)
+    assert callers == []
 
 
 def test_models_of_one_shape_share_their_keys():

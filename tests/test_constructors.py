@@ -161,6 +161,26 @@ def test_classical_model_validation():
         ClassicalModel(B, B, (((0, 0), F(1, 2)), ((0, 0), F(1, 2))))
 
 
+def test_classical_model_errors_keep_their_order_and_messages():
+    # Every pair is checked in turn before the total; the total is exact.
+    with pytest.raises(WeightsNotNormalizedError, match="weight of \\(1, 1\\) is negative: -1/2"):
+        ClassicalModel(B, B, (((0, 0), F(1, 2)), ((1, 1), F(-1, 2)), ((0, 1), 5)))
+    with pytest.raises(ShapeMismatchError):
+        ClassicalModel(B, B, (((0, 0), F(1, 2)), ((0, 2), 1), ((0, 0), F(1, 2))))
+    with pytest.raises(WeightsNotNormalizedError, match="duplicate function key"):
+        ClassicalModel(B, B, (((0, 0), F(3)), ((0, 0), F(-1)), ((0, 2), 1)))
+    with pytest.raises(WeightsNotNormalizedError, match="^weights sum to 5/6, expected 1$"):
+        ClassicalModel(B, B, (((0, 0), F(1, 2)), ((1, 1), F(1, 3)), ((0, 1), 0)))
+    with pytest.raises(WeightsNotNormalizedError, match="^weights sum to 0, expected 1$"):
+        ClassicalModel(B, B, (((0, 0), 0),))
+    with pytest.raises(WeightsNotNormalizedError, match="^weights sum to 0, expected 1$"):
+        ClassicalModel(B, B, ())
+    assert ClassicalModel(B, B, (((1, 0), "1/3"), ((0, 1), F(2, 3)), ((0, 0), 0))).weights == (
+        ((0, 1), F(2, 3)),
+        ((1, 0), F(1, 3)),
+    )
+
+
 def _labels(n):
     return finite_set([str(i) for i in range(n)])
 

@@ -125,6 +125,44 @@ def test_column_sum_error_carries_column_and_sum():
     assert info.value.actual == F(5, 6)
 
 
+def test_a_correlation_keeps_its_integer_columns():
+    X = Y = finite_set(["0", "1"])
+    entries = [
+        ["1/2", "1/6", "1", "1/4"],
+        ["1/3", "1/3", "0", "1/4"],
+        ["0", "1/2", "0", "1/4"],
+        ["1/6", "0", "0", "1/4"],
+    ]
+    p = make_correlation(X, Y, entries)
+    assert p.lcms == (6, 6, 1, 4)
+    assert p.columns == ((3, 2, 0, 1), (1, 2, 3, 0), (1, 0, 0, 0), (1, 1, 1, 1))
+    for c, (d, nums) in enumerate(zip(p.lcms, p.columns)):
+        assert [F(v, d) for v in nums] == list(p.column(c))
+
+
+def test_kept_columns_stay_out_of_equality_hash_and_repr():
+    X = finite_set(["0"])
+    Y = finite_set(["0", "1"])
+    p = make_correlation(X, Y, [["1/2"], ["1/2"], ["0"], ["0"]])
+    q = make_correlation(X, Y, [["2/4"], [F(1, 2)], [0], ["0"]])
+    object.__setattr__(q, "lcms", ("other",))
+    object.__setattr__(q, "columns", ())
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == repr(q)
+    assert "lcms" not in repr(p) and "columns" not in repr(p)
+    assert p != make_correlation(X, Y, [["1/2"], ["0"], ["1/2"], ["0"]])
+
+
+def test_column_sum_error_names_a_later_column():
+    X = finite_set(["0", "1"])
+    Y = finite_set(["0"])
+    with pytest.raises(ColumnSumNotOneError) as info:
+        make_correlation(X, Y, [["1", "7/8", "9/8", "1"]])
+    assert info.value.column == 1
+    assert info.value.actual == F(7, 8)
+    assert str(info.value) == "column 1 sums to 7/8, expected 1"
+
+
 def test_negative_entry_error():
     X = finite_set(["0"])
     Y = finite_set(["0", "1"])

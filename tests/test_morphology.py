@@ -43,7 +43,7 @@ from syncgames import (
     witness_to_json_dict,
 )
 from syncgames import morphology
-from syncgames.corrcore import ZERO
+from syncgames.corrcore import ZERO, common_denominator
 from syncgames.errors import (
     NotARetractionError,
     NotASectionError,
@@ -251,8 +251,10 @@ def rational_matrices(draw):
 
 def check_both_nullspaces(matrix):
     height, width = len(matrix), len(matrix[0])
-    right = morphology._right_nullspace(matrix)
-    left = morphology._left_nullspace(matrix)
+    # Each column over its own lcm, as a Correlation keeps its columns.
+    lcms, columns = zip(*(common_denominator(column) for column in zip(*matrix)))
+    right = morphology._right_nullspace(lcms, columns)
+    left = morphology._left_nullspace(columns)
     assert right == reference_nullspace(matrix, width)
     assert left == reference_nullspace(transpose(matrix), height)
     assert zeros_are_shared(right + left)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,12 @@ from hypothesis import strategies as st
 from syncgames import category, constructors, finite_set, simplex
 from syncgames.boole import triple_inequalities
 from syncgames.corrcore import PairWeights
-from syncgames.simplex import _presolve, find_nonnegative_combination
+from syncgames.simplex import SparseColumns, _presolve, find_nonnegative_combination
 
 
 def _sparse(dense):
     """Dense columns as the library's sparse ``(row, coefficient)`` columns."""
-    return [[(r, v) for r, v in enumerate(column) if v] for column in dense]
+    return SparseColumns([(r, v) for r, v in enumerate(column) if v] for column in dense)
 
 
 def fraction_phase_one(columns, target):
@@ -85,8 +86,8 @@ def _fraction_phase_one_unforced(columns, target):
 
 
 def test_empty_columns():
-    assert find_nonnegative_combination([], [F(0), F(0)]) == []
-    assert find_nonnegative_combination([], [F(0), F(1)]) is None
+    assert find_nonnegative_combination(SparseColumns([]), [F(0), F(0)]) == []
+    assert find_nonnegative_combination(SparseColumns([]), [F(0), F(1)]) is None
 
 
 def test_zero_rows():
@@ -197,7 +198,7 @@ def test_a_zero_coefficient_is_skipped():
     # zero would force nothing; read as an entry it would force column 1 as
     # well, and row 1 would be out of reach.
     target = [F(0), F(1)]
-    explicit = [[(0, F(1)), (1, F(1))], [(0, F(0)), (1, F(1))]]
+    explicit = SparseColumns([[(0, F(1)), (1, F(1))], [(0, F(0)), (1, F(1))]])
     dense = [[F(1), F(1)], [F(0), F(1)]]
     expected = ([1], [(((0, F(1)),), F(1))])
     assert _presolve(explicit, target) == _presolve(_sparse(dense), target) == expected
@@ -213,10 +214,44 @@ def test_the_final_check_reads_the_returned_values(monkeypatch):
 
 def test_a_repeated_row_in_a_column_is_rejected():
     with pytest.raises(ValueError, match="column 1 repeats row 0"):
-        find_nonnegative_combination([[(0, 1)], [(0, 1), (1, 2), (0, 1)]], [1, 1])
+        find_nonnegative_combination(SparseColumns([[(0, 1)], [(0, 1), (1, 2), (0, 1)]]), [1, 1])
     # Also in a column that the forcing rule would drop.
     with pytest.raises(ValueError, match="column 0 repeats row 1"):
-        find_nonnegative_combination([[(1, 1), (0, 1), (1, 1)], [(1, 1)]], [0, 1])
+        find_nonnegative_combination(SparseColumns([[(1, 1), (0, 1), (1, 1)], [(1, 1)]]), [0, 1])
+
+
+def test_a_negative_row_is_rejected():
+    # Read as an index, row -1 would be the last row of the target.
+    with pytest.raises(ValueError, match="column 1 has a negative row -1"):
+        SparseColumns([[(0, 1)], [(-1, 1)]])
+    with pytest.raises(ValueError, match="negative row"):
+        SparseColumns([[(0, 1), (-2, 0)]])
+
+
+def test_a_row_beyond_the_target_is_rejected():
+    columns = SparseColumns([[(0, 1)], [(2, 1)]])
+    assert columns.top == 2
+    with pytest.raises(ValueError, match="row 2 is beyond a target of length 2"):
+        find_nonnegative_combination(columns, [0, 1])
+    # An explicit zero still names its row.
+    with pytest.raises(ValueError, match="row 3 is beyond"):
+        find_nonnegative_combination(SparseColumns([[(0, 1), (3, 0)]]), [1, 0, 0])
+    assert find_nonnegative_combination(columns, [0, 0, 1]) == [F(0), F(1)]
+
+
+def test_sparse_columns_record_masks_and_mixed_rows():
+    columns = SparseColumns([[(0, 1), (2, F(-1, 2))], [(2, 3), (1, 0)], []])
+    assert len(columns) == 3
+    assert list(columns) == [((0, 1), (2, F(-1, 2))), ((2, 3), (1, 0)), ()]
+    assert columns.masks == (0b101, 0b100, 0)
+    assert columns.mixed == 0b100
+    assert columns.top == 2
+    assert SparseColumns([]).top == -1
+
+
+def test_only_sparse_columns_are_accepted():
+    with pytest.raises(TypeError, match="SparseColumns"):
+        find_nonnegative_combination([[(0, 1)]], [1])
 
 
 _ENTRIES = st.sampled_from([F(0), F(0), F(1), F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(5, 7)])
@@ -252,6 +287,7 @@ def test_entry_order_and_explicit_zeros_leave_the_answer(system, rng):
         entries = [(r, v) for r, v in enumerate(column) if v or rng.random() < 0.5]
         rng.shuffle(entries)
         shuffled.append(entries)
+    shuffled = SparseColumns(shuffled)
     assert _presolve(shuffled, target) == _presolve(_sparse(columns), target)
     x = find_nonnegative_combination(shuffled, target)
     assert x == find_nonnegative_combination(_sparse(columns), target)
@@ -393,6 +429,7 @@ def test_classical_decomposition_passes_one_sparse_column_per_strategy(monkeypat
         calls.clear()
         assert category.classical_decomposition(_mixture(nx, nx, ny)) is not None
         [(columns, target)] = calls
+        assert columns is category._strategies(nx, ny)[1]
         assert len(columns) == ny**nx and len(target) == ny**2 * nx**2
         for f, column in zip(constructors.enumerate_functions(nx, ny), columns):
             assert len(column) == nx**2
@@ -401,6 +438,35 @@ def test_classical_decomposition_passes_one_sparse_column_per_strategy(monkeypat
                 dense[r] += v
             strategy = constructors.from_function_indices(labels(nx), labels(ny), f)
             assert dense == [v for row in strategy.matrix for v in row]
+
+
+def test_strategy_columns_are_prepared_once_per_shape():
+    first = category._strategies(3, 2)
+    assert isinstance(first[1], SparseColumns)
+    assert category._strategies(3, 2) is first
+    assert category._strategies(3, 2)[1] is first[1]
+    assert category._strategies(2, 3)[1] is not first[1]
+
+
+def test_the_target_is_the_correlation_over_its_column_lcm(monkeypatch):
+    # The LP sees D * p in integers, D the lcm of the column lcms, and its
+    # solution is D times the returned measure.
+    calls = []
+
+    def spy(columns, target):
+        x = find_nonnegative_combination(columns, target)
+        calls.append((target, x))
+        return x
+
+    monkeypatch.setattr(category, "find_nonnegative_combination", spy)
+    p = _mixture(1, 4, 3)
+    model = category.classical_decomposition(p)
+    [(target, x)] = calls
+    d = lcm(*(v.denominator for row in p.matrix for v in row))
+    assert all(type(v) is int for v in target)
+    assert target == [v * d for row in p.matrix for v in row]
+    functions, _ = category._strategies(4, 3)
+    assert model.mu == {f: v / d for f, v in zip(functions, x) if v}
 
 
 def test_pinned_models():
