@@ -173,8 +173,8 @@ def classical_decomposition(p: Correlation) -> Optional[ClassicalModel]:
     strategy columns with an exact phase-one simplex, so every
     non-classical input, asymmetric and signaling ones included, yields
     None.  ``p`` must be synchronous.  Every mixture of shared functions
-    is symmetric and nonsignaling, so callers that already know ``p`` is
-    not both (:func:`classify`, ``morphology.Analysis``) skip the call.
+    is symmetric and nonsignaling, so ``morphology.Analysis``, which
+    already knows whether ``p`` is both, skips the call when it is not.
     The caller can re-expand the returned model to confirm it.
 
     The LP's target is ``D * p`` in integers, with ``D`` the lcm of the
@@ -201,12 +201,12 @@ def classical_decomposition(p: Correlation) -> Optional[ClassicalModel]:
 class ClassLabel:
     """Bundle of membership flags for one correlation.
 
+    A snapshot of the class facts of ``morphology.analyze(p)``.
     ``deterministic`` carries the answer tables when defined, and
     ``classical`` carries a reproducing measure when one was found.
     ``classical_decided`` records whether classical membership was decided;
-    it always equals ``synchronous``.  The linear program runs only for
-    symmetric nonsignaling inputs; any other is not classical, because
-    every mixture of shared functions is symmetric and nonsignaling.
+    it always equals ``synchronous``.  It holds no reference to ``p`` or to
+    the analysis, so a kept label stays small.
     """
 
     synchronous: bool
@@ -218,12 +218,10 @@ class ClassLabel:
 
 
 def classify(p: Correlation) -> ClassLabel:
-    """Evaluate every membership predicate on ``p``."""
-    synchronous = is_synchronous(p)
-    nonsignaling = is_nonsignaling(p)
-    symmetric = is_symmetric(p)
-    deterministic = is_deterministic(p)
-    classical = None
-    if synchronous and symmetric and nonsignaling:
-        classical = classical_decomposition(p)
-    return ClassLabel(synchronous, nonsignaling, symmetric, deterministic, classical, synchronous)
+    """Evaluate every membership predicate on ``p``, through one analysis."""
+    from .morphology import analyze  # morphology imports this module
+
+    a = analyze(p)
+    return ClassLabel(
+        a.synchronous, a.nonsignaling, a.symmetric, a.deterministic, a.classical, a.synchronous
+    )

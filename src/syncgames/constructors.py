@@ -269,31 +269,14 @@ def classical_model_from_json_dict(data: Mapping) -> ClassicalModel:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
+
+    A plain value with no arithmetic: the library reads only ``real`` and
+    ``imag``, and computes on the integer parts of whole matrices.
+    """
 
     real: Fraction
     imag: Fraction = ZERO
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.real + other.real, self.imag + other.imag)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.real - other.real, self.imag - other.imag)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
-        )
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.real, -self.imag)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
-
-    def is_zero(self) -> bool:
-        return self.real == 0 and self.imag == 0
 
 
 GaussianMatrix = tuple  # tuple of row tuples of GaussianRational
@@ -841,15 +824,6 @@ def _unitary_parts(dimension: int, rng: random.Random) -> tuple[int, list, list]
             rows[j] = [b * x + a * y for x, y in zip(row_i, row_j)]
         den *= c
     return den, re, im
-
-
-def _random_unitary(dimension: int, rng: random.Random) -> GaussianMatrix:
-    """An exact unitary built from rational rotations and fourth-root phases."""
-    den, re, im = _unitary_parts(dimension, rng)
-    return tuple(
-        tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(*rows))
-        for rows in zip(re, im)
-    )
 
 
 def random_quantum_model(

@@ -34,8 +34,6 @@ from .errors import (
     WeightsNotNormalizedError,
 )
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

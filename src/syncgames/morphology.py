@@ -313,9 +313,9 @@ class WitnessPair:
     For side ``"mono"`` the pair satisfies ``p . q_plus == p . q_minus``;
     for side ``"epi"``, ``q_plus . p == q_minus . p``.  Both members lie in
     the tagged category, and ``kernel`` is the rescaled nullspace vector
-    whose positive and negative parts drive the two members.  Classical
-    models certifying membership are attached when the construction
-    produces them.
+    whose positive and negative parts drive the two members.  Every ``Q``
+    and ``HV`` witness built here attaches a classical model to each
+    member, which certifies its membership.
     """
 
     side: str
@@ -368,8 +368,7 @@ def _verify_witness(p: Correlation, witness: WitnessPair) -> None:
             if from_classical_model(model) != q:
                 raise AssertionError("attached model must re-expand to its witness")
         elif tag in (CategoryTag.HV, CategoryTag.Q):
-            if classical_decomposition(q) is None:
-                raise AssertionError("witness must admit a classical decomposition")
+            raise AssertionError("a Q or HV witness must carry a classical model")
         if not is_synchronous(q):
             raise AssertionError("witness must be synchronous")
         if tag is not CategoryTag.S and not is_nonsignaling(q):
@@ -509,6 +508,17 @@ def _skew_measures(
     return models[0], models[1]
 
 
+def _padded_weights(
+    y_set: FiniteSet, part: Sequence[Sequence[Fraction]], pad: Fraction
+) -> PairWeights:
+    """The pairwise weights ``part`` with ``pad`` added on the diagonal."""
+    m = y_set.size
+    return PairWeights(
+        y_set,
+        tuple(tuple((pad if a == b else ZERO) + part[a][b] for b in range(m)) for a in range(m)),
+    )
+
+
 def epi_witness(p, cat) -> Optional[WitnessPair]:
     """A category-internal epi failure certificate, or None if epi.
 
@@ -539,15 +549,15 @@ def epi_witness(p, cat) -> Optional[WitnessPair]:
         w_plus, w_minus = _split_signs(w, m)
         blocks_plus = {}
         blocks_minus = {}
-        for a in range(m):
-            for b in range(m):
-                blocks_plus[(a, b)] = (
-                    (ONE - w_plus[a][b], ZERO),
-                    (ZERO, w_plus[a][b]),
+        for i in range(m):
+            for j in range(m):
+                blocks_plus[(i, j)] = (
+                    (ONE - w_plus[i][j], ZERO),
+                    (ZERO, w_plus[i][j]),
                 )
-                blocks_minus[(a, b)] = (
-                    (ONE - w_minus[a][b], ZERO),
-                    (ZERO, w_minus[a][b]),
+                blocks_minus[(i, j)] = (
+                    (ONE - w_minus[i][j], ZERO),
+                    (ZERO, w_minus[i][j]),
                 )
         q_plus = _blocks_to_correlation(y_set, BINARY, blocks_plus)
         q_minus = _blocks_to_correlation(y_set, BINARY, blocks_minus)
@@ -557,20 +567,8 @@ def epi_witness(p, cat) -> Optional[WitnessPair]:
         w = tuple(v / scale for v in raw)
         w_plus, w_minus = _split_signs(w, m)
         quarter = Fraction(1, 4)
-
-        def weights(part):
-            return PairWeights(
-                y_set,
-                tuple(
-                    tuple(
-                        (quarter if a == b else ZERO) + part[a][b] for b in range(m)
-                    )
-                    for a in range(m)
-                ),
-            )
-
-        q_plus = two_output_nonsignaling(weights(w_plus))
-        q_minus = two_output_nonsignaling(weights(w_minus))
+        q_plus = two_output_nonsignaling(_padded_weights(y_set, w_plus, quarter))
+        q_minus = two_output_nonsignaling(_padded_weights(y_set, w_minus, quarter))
         kernel_entries = w
     else:
         sym = [
@@ -588,20 +586,8 @@ def epi_witness(p, cat) -> Optional[WitnessPair]:
                 tuple(scaled[a][b] for a in range(m) for b in range(m)), m
             )
             pad = Fraction(1, n)
-
-            def weights(part):
-                return PairWeights(
-                    y_set,
-                    tuple(
-                        tuple(
-                            (pad if a == b else ZERO) + part[a][b] for b in range(m)
-                        )
-                        for a in range(m)
-                    ),
-                )
-
-            model_plus, q_plus = two_output_classical(weights(w_plus))
-            model_minus, q_minus = two_output_classical(weights(w_minus))
+            model_plus, q_plus = two_output_classical(_padded_weights(y_set, w_plus, pad))
+            model_minus, q_minus = two_output_classical(_padded_weights(y_set, w_minus, pad))
             kernel_entries = tuple(
                 scaled[a][b] for a in range(m) for b in range(m)
             )

@@ -1,7 +1,10 @@
 """Test oracles for quantum models, on ``GaussianRational`` matrices.
 
-The ``gr_*`` helpers are plain matrix algebra on ``GaussianRational``
-entries.  :func:`validate_projections` and :func:`evaluate_quantum_model`
+``GaussianRational`` is a plain value with no arithmetic.  The ``g_*``
+functions are complex arithmetic on one entry, over its ``real`` and
+``imag``, and the ``gr_*`` helpers are plain matrix algebra built on them.
+:func:`random_unitary` is the library generator's unitary as such a
+matrix.  :func:`validate_projections` and :func:`evaluate_quantum_model`
 are the projection checks and the trace formula written out with them,
 references for the library's integer validation and evaluation, and
 :func:`reference_random_quantum_model` is the seeded generator written as
@@ -13,6 +16,7 @@ models, so the library needs only :func:`~syncgames.from_quantum_model`.
 
 import random
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from syncgames import (
@@ -25,7 +29,7 @@ from syncgames import (
     make_correlation,
     validate_quantum_model,
 )
-from syncgames.constructors import _PYTHAGOREAN_TRIPLES
+from syncgames.constructors import _PYTHAGOREAN_TRIPLES, _unitary_parts
 from syncgames.errors import NotCompleteError, NotHermitianError, NotIdempotentError
 
 ZERO = Fraction(0)
@@ -34,6 +38,32 @@ ONE = Fraction(1)
 GR_ZERO = GaussianRational(ZERO, ZERO)
 GR_ONE = GaussianRational(ONE, ZERO)
 GR_I = GaussianRational(ZERO, ONE)
+
+
+def g_add(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    return GaussianRational(a.real + b.real, a.imag + b.imag)
+
+
+def g_sub(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    return GaussianRational(a.real - b.real, a.imag - b.imag)
+
+
+def g_mul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    return GaussianRational(
+        a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    )
+
+
+def g_neg(a: GaussianRational) -> GaussianRational:
+    return GaussianRational(-a.real, -a.imag)
+
+
+def g_conjugate(a: GaussianRational) -> GaussianRational:
+    return GaussianRational(a.real, -a.imag)
+
+
+def g_is_zero(a: GaussianRational) -> bool:
+    return a.real == 0 and a.imag == 0
 
 
 def gr_matrix(rows: Sequence[Sequence[GaussianRational]]) -> tuple:
@@ -48,7 +78,7 @@ def gr_identity(d: int) -> tuple:
 
 def gr_add(a, b) -> tuple:
     return tuple(
-        tuple(x + y for x, y in zip(row_a, row_b)) for row_a, row_b in zip(a, b)
+        tuple(g_add(x, y) for x, y in zip(row_a, row_b)) for row_a, row_b in zip(a, b)
     )
 
 
@@ -57,7 +87,7 @@ def gr_mul(a, b) -> tuple:
     cols = len(b[0])
     return tuple(
         tuple(
-            sum((row_a[k] * b[k][c] for k in range(size_inner)), GR_ZERO)
+            reduce(g_add, (g_mul(row_a[k], b[k][c]) for k in range(size_inner)), GR_ZERO)
             for c in range(cols)
         )
         for row_a in a
@@ -67,14 +97,14 @@ def gr_mul(a, b) -> tuple:
 def gr_conj_transpose(a) -> tuple:
     rows = len(a)
     cols = len(a[0])
-    return tuple(tuple(a[r][c].conjugate() for r in range(rows)) for c in range(cols))
+    return tuple(tuple(g_conjugate(a[r][c]) for r in range(rows)) for c in range(cols))
 
 
 def gr_kron(a, b) -> tuple:
     da = len(a)
     db = len(b)
     return tuple(
-        tuple(a[i // db][j // db] * b[i % db][j % db] for j in range(da * db))
+        tuple(g_mul(a[i // db][j // db], b[i % db][j % db]) for j in range(da * db))
         for i in range(da * db)
     )
 
@@ -85,14 +115,23 @@ def gr_trace_product(a, b) -> GaussianRational:
     total = GR_ZERO
     for i in range(d):
         for j in range(d):
-            total = total + a[i][j] * b[j][i]
+            total = g_add(total, g_mul(a[i][j], b[j][i]))
     return total
+
+
+def random_unitary(dimension: int, rng: random.Random) -> tuple:
+    """The exact unitary of the library generator, from its integer parts."""
+    den, re, im = _unitary_parts(dimension, rng)
+    return tuple(
+        tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(*rows))
+        for rows in zip(re, im)
+    )
 
 
 def reference_random_unitary(dimension: int, rng: random.Random) -> tuple:
     """The unitary of the seeded generator, as products of full matrices."""
     u = gr_identity(dimension)
-    powers = (GR_ONE, GR_I, -GR_ONE, -GR_I)
+    powers = (GR_ONE, GR_I, g_neg(GR_ONE), g_neg(GR_I))
     for _ in range(dimension * dimension):
         phase_row = tuple(
             tuple(
@@ -118,7 +157,7 @@ def reference_random_unitary(dimension: int, rng: random.Random) -> tuple:
             for r in range(dimension)
         ]
         rotation[i][i] = cos
-        rotation[i][j] = -sin
+        rotation[i][j] = g_neg(sin)
         rotation[j][i] = sin
         rotation[j][j] = cos
         u = gr_mul(gr_matrix(rotation), u)

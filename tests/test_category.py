@@ -32,7 +32,7 @@ from syncgames import (
     two_input_nonsignaling,
     two_output_nonsignaling,
 )
-from syncgames import category, corrcore
+from syncgames import category, corrcore, morphology
 from syncgames.corrcore import ZERO
 from syncgames.errors import NotSynchronousError, SetMismatchError
 
@@ -312,15 +312,14 @@ def test_classify_solves_no_lp_for_an_asymmetric_input(monkeypatch):
     assert calls == []
 
 
-def _count_common_denominator(monkeypatch):
-    """Count calls through every ``syncgames`` binding of common_denominator,
-    each recorded by the module that made it."""
-    original = corrcore.common_denominator
+def _count_calls(monkeypatch, original):
+    """Count calls through every ``syncgames`` binding of ``original``, each
+    recorded by the module that made it."""
     callers = []
 
-    def counted(values):
+    def counted(*args):
         callers.append(sys._getframe(1).f_globals["__name__"])
-        return original(values)
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "syncgames":
@@ -337,7 +336,7 @@ def test_classify_clears_no_column_of_a_built_correlation(monkeypatch):
         pair_weights(T, [[half, 0, 0], [0, half, 0], [0, 0, half]])
     )
     inputs = [odd_cycle, CYCLIC, SIGNALING, UNIFORM, identity(T), HALF_DIAGONAL]
-    callers = _count_common_denominator(monkeypatch)
+    callers = _count_calls(monkeypatch, corrcore.common_denominator)
     make_correlation(B, B, [["1/4"] * 4] * 4)
     assert callers == ["syncgames.corrcore"] * 4, "construction clears each column once"
     callers.clear()
@@ -351,6 +350,39 @@ def test_classify_clears_no_column_of_a_built_correlation(monkeypatch):
     for p in inputs[:4]:
         classify(p)
     assert callers == []
+
+
+def test_classify_computes_each_class_fact_once(monkeypatch):
+    half = F(1, 2)
+    odd_cycle = two_output_nonsignaling(
+        pair_weights(T, [[half, 0, 0], [0, half, 0], [0, 0, half]])
+    )
+    # The first three are synchronous, nonsignaling and symmetric, so only
+    # they solve the HV linear program.
+    inputs = [odd_cycle, HALF_DIAGONAL, identity(T), CYCLIC, SIGNALING, UNIFORM]
+    solves = [1, 1, 1, 0, 0, 0]
+    names = [
+        "is_synchronous",
+        "is_nonsignaling",
+        "is_symmetric",
+        "is_deterministic",
+        "classical_decomposition",
+    ]
+    calls = {name: _count_calls(monkeypatch, getattr(category, name)) for name in names}
+    for p, solved in zip(inputs, solves):
+        for callers in calls.values():
+            callers.clear()
+        label = classify(p)
+        counts = {name: len(callers) for name, callers in calls.items()}
+        assert counts["is_nonsignaling"] == counts["is_symmetric"] == 1
+        assert counts["is_deterministic"] == 1
+        assert counts["classical_decomposition"] == solved
+        # The second call, if any, is classical_decomposition's own
+        # NotSynchronousError precondition.
+        assert 1 <= counts["is_synchronous"] <= 1 + solved
+        assert not any(
+            r is p or isinstance(r, morphology.Analysis) for r in gc.get_referents(label)
+        )
 
 
 def test_models_of_one_shape_share_their_keys():

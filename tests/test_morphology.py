@@ -377,6 +377,16 @@ def test_mono_witness_hv_members_are_classical():
     assert from_classical_model(witness.model_minus) == witness.q_minus
 
 
+def test_a_q_or_hv_witness_without_models_is_rejected():
+    for tag in ("Q", "HV"):
+        built = mono_witness(HALF_DIAGONAL, tag)
+        bare = morphology.WitnessPair(
+            built.side, built.category, built.q_plus, built.q_minus, built.kernel
+        )
+        with pytest.raises(AssertionError, match="must carry a classical model"):
+            morphology._verify_witness(HALF_DIAGONAL, bare)
+
+
 def test_mono_witness_spec_pair_is_valid():
     # the historic example pair: both witnesses constant, kernel vector
     # e(0,0) - e(1,1); distinct, equal compositions, classical
