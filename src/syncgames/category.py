@@ -219,9 +219,12 @@ class ClassLabel:
 
 def classify(p: Correlation) -> ClassLabel:
     """Evaluate every membership predicate on ``p``, through one analysis."""
-    from .morphology import analyze  # morphology imports this module
+    # Imported here because morphology imports this module; absolute, because
+    # a relative import resolves the package through a Python-level property
+    # on every call.
+    import syncgames.morphology as morphology
 
-    a = analyze(p)
+    a = morphology.analyze(p)
     return ClassLabel(
         a.synchronous, a.nonsignaling, a.symmetric, a.deterministic, a.classical, a.synchronous
     )

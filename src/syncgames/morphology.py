@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .category import (
@@ -100,6 +99,27 @@ def _coerce_tag(cat) -> CategoryTag:
 Choice = dict[tuple[int, int], tuple[int, int]]  # (y, y') -> (x, x'), index pairs
 
 
+class _fact:
+    """A fact of :class:`Analysis`: computed on its first read, then kept.
+
+    The value goes into the instance's ``__dict__`` under the fact's name,
+    which later reads find before this descriptor.  Unlike
+    ``functools.cached_property`` before Python 3.12, it takes no lock on a
+    first read: ``classify`` pays every first read on every call.  Two
+    threads that race on a first read store equal values.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, a, owner=None):
+        if a is None:
+            return self
+        value = a.__dict__[self.name] = self.compute(a)
+        return value
+
+
 @dataclass(frozen=True)
 class Analysis:
     """The facts the deciders below read about one correlation ``p``.
@@ -116,39 +136,39 @@ class Analysis:
 
     p: Correlation
 
-    @cached_property
+    @_fact
     def synchronous(self) -> bool:
         return is_synchronous(self.p)
 
-    @cached_property
+    @_fact
     def nonsignaling(self) -> bool:
         return is_nonsignaling(self.p)
 
-    @cached_property
+    @_fact
     def symmetric(self) -> bool:
         return is_symmetric(self.p)
 
-    @cached_property
+    @_fact
     def classical(self) -> Optional[ClassicalModel]:
         return classical_decomposition(self.p) if is_member(self, CategoryTag.Q) else None
 
-    @cached_property
+    @_fact
     def deterministic(self) -> Optional[DeterministicPair]:
         return is_deterministic(self.p)
 
-    @cached_property
+    @_fact
     def section(self) -> Optional[Choice]:
         return _section_choice(self.p)
 
-    @cached_property
+    @_fact
     def retraction(self) -> Optional[Choice]:
         return _retraction_choice(self.p)
 
-    @cached_property
+    @_fact
     def right_kernel(self) -> list[KernelVector]:
         return right_nullspace_basis(self.p)
 
-    @cached_property
+    @_fact
     def left_kernel(self) -> list[KernelVector]:
         return left_nullspace_basis(self.p)
 
