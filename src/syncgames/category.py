@@ -23,7 +23,7 @@ from operator import mul
 from typing import Optional
 
 from .constructors import ClassicalModel, enumerate_functions
-from .corrcore import ZERO, Correlation, DeterministicPair, common_denominator
+from .corrcore import ZERO, Correlation, DeterministicPair
 from .errors import NotSynchronousError, SetMismatchError
 from .simplex import SparseColumns, find_nonnegative_combination
 
@@ -35,15 +35,16 @@ def compose(q: Correlation, p: Correlation) -> Correlation:
             f"cannot compose: outer input set {q.input_set.labels!r} differs from "
             f"inner output set {p.output_set.labels!r}"
         )
-    # Each row of q over its own lcm, and each column of p over the lcm it
-    # keeps: integer dot products, then one Fraction per entry.
-    q_rows = []
-    for row in q.matrix:
-        d, nums = common_denominator(row)
-        q_rows.append((d, [(k, v) for k, v in enumerate(nums) if v]))
+    # Integer dot products of both operands' kept columns, q's brought over
+    # the lcm of its column lcms; then one Fraction per entry.
+    dq = lcm(*q.lcms)
+    scales = [dq // e for e in q.lcms]
+    q_rows = [
+        [(k, v * s) for k, (v, s) in enumerate(zip(row, scales)) if v] for row in zip(*q.columns)
+    ]
     p_cols = list(zip(p.lcms, p.columns))
     matrix = []
-    for dq, nonzero in q_rows:
+    for nonzero in q_rows:
         out_row = []
         for dp, col in p_cols:
             dot = sum(v * col[k] for k, v in nonzero)

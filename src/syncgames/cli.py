@@ -56,6 +56,7 @@ from .corrcore import (
     FiniteSet,
     PairDistribution,
     PairWeights,
+    _parse_json,
     deserialize,
     format_rational,
     parse_labels,
@@ -116,13 +117,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str):
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
-    except RecursionError:
-        raise ParseError(path, "JSON nested too deeply") from None
+    return _parse_json(_read_text(path), path)
 
 
 def _load_correlation(path: str) -> Correlation:

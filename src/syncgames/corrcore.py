@@ -232,19 +232,11 @@ class Correlation:
 def make_correlation(input_set: FiniteSet, output_set: FiniteSet, entries) -> Correlation:
     """Build a :class:`Correlation` from nested entry values.
 
-    ``entries`` is a sequence of ``|Y|^2`` rows of ``|X|^2`` values, each an
-    int, Fraction or rational string.  Raises :class:`ShapeMismatchError`,
+    ``entries`` is an iterable of ``|Y|^2`` rows, each an iterable of
+    ``|X|^2`` values: ints, Fractions or rational strings.  Raises :class:`ShapeMismatchError`,
     :class:`NegativeEntryError` or :class:`ColumnSumNotOneError` when the
     data is not a correlation.
     """
-    rows = output_set.pair_count
-    cols = input_set.pair_count
-    entries = list(entries)
-    if len(entries) != rows or any(len(list(row)) != cols for row in entries):
-        raise ShapeMismatchError(
-            f"need a {rows} x {cols} matrix for sets of sizes "
-            f"{output_set.size} and {input_set.size}"
-        )
     matrix = tuple(tuple(as_rational(v) for v in row) for row in entries)
     return Correlation(input_set, output_set, matrix)
 
@@ -441,6 +433,22 @@ def from_json_dict(data: Mapping) -> Correlation:
     return make_correlation(input_set, output_set, parsed_rows)
 
 
+def _parse_json(text: str | bytes, location: str):
+    """``json.loads(text)`` for outside input: failures raise :class:`ParseError`.
+
+    A syntax error is located at ``location:line:column``; bytes that are
+    not UTF-8 and JSON nested too deeply to parse at ``location``.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{location}:{exc.lineno}:{exc.colno}", exc.msg) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(location, str(exc)) from None
+    except RecursionError:
+        raise ParseError(location, "JSON nested too deeply") from None
+
+
 def deserialize(text: str) -> Correlation:
     """Parse JSON text into a validated :class:`Correlation`.
 
@@ -449,12 +457,4 @@ def deserialize(text: str) -> Correlation:
     UTF-8; violations of the correlation axioms re-raise the underlying
     :func:`make_correlation` error unchanged.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"<json>:{exc.lineno}:{exc.colno}", exc.msg) from None
-    except UnicodeDecodeError as exc:
-        raise ParseError("<json>", str(exc)) from None
-    except RecursionError:
-        raise ParseError("<json>", "JSON nested too deeply") from None
-    return from_json_dict(data)
+    return from_json_dict(_parse_json(text, "<json>"))

@@ -76,6 +76,7 @@ from .errors import (
     NotInCategoryError,
     ParseError,
 )
+from .simplex import _pivot
 
 
 class CategoryTag(str, enum.Enum):
@@ -219,11 +220,11 @@ def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], in
 
     Returns ``(reduced, pivots, den)`` with the reduced row echelon form
     equal to ``reduced[i][j] / den``: every pivot entry of ``reduced`` is
-    ``den``.  Each step sets ``row = (piv * row - f * pivot_row) // den``
-    for every other row and then ``den = piv``; Sylvester's identity makes
-    every division exact (Bareiss 1968).
+    ``den``.  Each column's first nonzero row at or below the rank is
+    swapped up and eliminated by :func:`simplex._pivot`, the step the HV
+    simplex takes.  It works on list copies: ``rows`` is left as it is.
     """
-    matrix = list(rows)
+    matrix = [list(row) for row in rows]
     pivots: list[int] = []
     den = 1
     for col in range(len(matrix[0]) if matrix else 0):
@@ -232,18 +233,8 @@ def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], in
         if pivot_row is None:
             continue
         matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        prow = matrix[rank]
-        piv = prow[col]
-        for i, row in enumerate(matrix):
-            if i == rank:
-                continue
-            f = row[col]
-            if f:
-                matrix[i] = [(piv * a - f * b) // den for a, b in zip(row, prow)]
-            elif piv != den:
-                matrix[i] = [piv * a // den for a in row]
+        den = _pivot(matrix, rank, col, den)
         pivots.append(col)
-        den = piv
         if len(pivots) == len(matrix):
             break
     return matrix[: len(pivots)], pivots, den
@@ -389,12 +380,9 @@ def _verify_witness(p: Correlation, witness: WitnessPair) -> None:
                 raise AssertionError("attached model must re-expand to its witness")
         elif tag in (CategoryTag.HV, CategoryTag.Q):
             raise AssertionError("a Q or HV witness must carry a classical model")
-        if not is_synchronous(q):
-            raise AssertionError("witness must be synchronous")
-        if tag is not CategoryTag.S and not is_nonsignaling(q):
-            raise AssertionError("witness must be nonsignaling")
-        if tag in (CategoryTag.Q, CategoryTag.HV) and not is_symmetric(q):
-            raise AssertionError("witness must be symmetric")
+        # An HV member's model was re-expanded above: Q is all that is left.
+        if not is_member(q, CategoryTag.Q if tag is CategoryTag.HV else tag):
+            raise AssertionError(f"witness must lie in {tag.value}")
 
 
 def mono_witness(p, cat) -> Optional[WitnessPair]:

@@ -29,19 +29,20 @@ systems along the way), which keeps the tableau small for the highly
 redundant systems produced by correlation decompositions.
 
 The tableau is fraction-free (Bareiss 1968) and held as Python ``int``
-rows over one common denominator: each pivot replaces every other row by
-``(piv * row - f * pivot_row) // den``, a division that is always exact,
-and the pivot element becomes the new denominator.  When the pivot
-equals the denominator, as it almost always does for 0/1 columns, that
-update is ``row - (f * pivot_row) // den``: rows with ``f == 0`` stay as
-they are and the others change, in place, only where the pivot row is
-nonzero, which about halves the cost of a pivot.  Fractional
-coefficients are first cleared by one common positive column scale (the
-lcm of their denominators; 1 for the 0/1 strategy columns of a classical
-decomposition), and the right-hand side by the lcm of its own
-denominators.  The right-hand side is the tableau's last integer column,
-so the same update carries the values of the basic variables; a
-:class:`fractions.Fraction` is built only for each entry of the solution.
+rows over one common denominator.  Each pivot is one :func:`_pivot`, the
+elimination step that ``morphology``'s nullspaces also take: every other
+row becomes ``(piv * row - f * pivot_row) // den``, a division that is
+always exact, and the pivot becomes the new denominator.  When the pivot
+equals the denominator, as it almost always does for 0/1 columns, rows
+with ``f == 0`` stay as they are and the others change, in place, only
+where the pivot row is nonzero, which about halves the cost of a pivot.
+Fractional coefficients are first cleared by one common positive column
+scale (the lcm of their denominators; 1 for the 0/1 strategy columns of a
+classical decomposition), and the right-hand side by the lcm of its own
+denominators.  The right-hand side is the tableau's last column and the
+phase-one objective its last row, so the same step carries the basic
+variables and the reduced costs; a :class:`fractions.Fraction` is built
+only for each entry of the solution.
 
 Neither the common denominator nor the scales change the sign of a
 reduced cost or the order of the ratios, so Bland's smallest-index rule
@@ -168,6 +169,33 @@ def _presolve(
     return kept, list(seen.items())
 
 
+def _pivot(rows: list[list[int]], k: int, col: int, den: int) -> int:
+    """Eliminate column ``col`` from every row but ``k``; the pivot is the new den.
+
+    Each row becomes ``(piv * row - f * rows[k]) // den``, exactly (Bareiss
+    1968); when ``piv == den`` that is ``row - f * rows[k] // den``, done in
+    place where ``f`` and ``rows[k]`` are nonzero.  Any signs are allowed.
+    """
+    pivot_row = rows[k]
+    piv = pivot_row[col]
+    if piv == den:
+        nonzero = [(j, p) for j, p in enumerate(pivot_row) if p]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != k:
+                for j, p in nonzero:
+                    row[j] -= f * p // den
+    else:
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[col]
+                if f:
+                    rows[i] = [(piv * a - f * p) // den for a, p in zip(row, pivot_row)]
+                else:
+                    rows[i] = [piv * a // den for a in row]
+    return piv
+
+
 def find_nonnegative_combination(
     columns: SparseColumns, target: Sequence[Rational]
 ) -> Optional[list[Fraction]]:
@@ -216,67 +244,46 @@ def find_nonnegative_combination(
     m = len(tableau)
     den = 1
 
-    # Phase-one objective: minimize the sum of artificials.  The reduced
-    # cost row (over the same denominator) starts as minus the column sums;
-    # the right-hand column is no candidate to enter.
-    objective = [-sum(column) for column in zip(*tableau)]
-    objective.pop()
+    # Phase-one objective: minimize the sum of artificials.  Its reduced
+    # costs (over the same denominator) start as minus the column sums; as
+    # row m they are updated by each pivot like any other row.
+    tableau.append([-sum(column) for column in zip(*tableau)])
 
     while True:
-        entering = -1
-        for j, cost in enumerate(objective):
+        # Bland's rule: the first negative reduced cost enters.  The scan
+        # ends at index n, the right-hand entry, also when none is negative.
+        for entering, cost in enumerate(tableau[m]):
             if cost < 0:
-                entering = j
                 break
-        if entering < 0:
+        if entering == n:
             break
         # Ratio test by cross-multiplication: rhs_i / t_i < rhs_k / t_k
-        # with both pivots t positive; den cancels from every ratio.
+        # with both pivots t positive; den cancels from every ratio.  Only a
+        # row with t != 0 can become a Farkas row: the pivot leaves the
+        # others as they are or scales them by piv / den > 0.
         leaving = -1
+        changed = []
         for i in range(m):
             t = tableau[i][entering]
-            if t > 0:
-                if leaving < 0:
-                    leaving, best_rhs, best_t = i, tableau[i][n], t
-                    continue
-                this, best = tableau[i][n] * best_t, best_rhs * t
-                if this < best or (this == best and basis[i] < basis[leaving]):
-                    leaving, best_rhs, best_t = i, tableau[i][n], t
+            if t:
+                changed.append(i)
+                if t > 0:
+                    if leaving < 0:
+                        leaving, best_rhs, best_t = i, tableau[i][n], t
+                        continue
+                    this, best = tableau[i][n] * best_t, best_rhs * t
+                    if this < best or (this == best and basis[i] < basis[leaving]):
+                        leaving, best_rhs, best_t = i, tableau[i][n], t
         if leaving < 0:
             raise AssertionError("phase-one objective cannot be unbounded")
-        pivot_row = tableau[leaving]
-        pivot = pivot_row[entering]
-        if pivot == den:
-            # (den * a - f * p) // den is a - f * p // den, and f * p is a
-            # multiple of den: rows with f == 0 keep every entry, and the
-            # others change only where the pivot row is nonzero, in place.
-            nonzero = [(j, p) for j, p in enumerate(pivot_row) if p]
-            for i, row in enumerate(tableau):
-                factor = row[entering]
-                if factor != 0 and i != leaving:
-                    for j, p in nonzero:
-                        row[j] -= factor * p // den
-                    if row[n] > 0 and max(row[:n]) <= 0:
-                        return None
-            factor = objective[entering]
-            for j, p in nonzero:
-                if j < n:  # the objective has no right-hand entry
-                    objective[j] -= factor * p // den
-        else:
-            for i, row in enumerate(tableau):
-                if i == leaving:
-                    continue
-                factor = row[entering]
-                if factor != 0:
-                    tableau[i] = row = [(pivot * a - factor * p) // den for a, p in zip(row, pivot_row)]
-                    if row[n] > 0 and max(row[:n]) <= 0:
-                        return None
-                else:
-                    tableau[i] = [pivot * a // den for a in row]
-            factor = objective[entering]
-            objective = [(pivot * a - factor * p) // den for a, p in zip(objective, pivot_row)]
+        den = _pivot(tableau, leaving, entering, den)
         basis[leaving] = entering
-        den = pivot
+        # A row whose basic variable is structural, the pivot row's among
+        # them, holds den > 0 in that column, so it is never a Farkas row.
+        for i in changed:
+            row = tableau[i]
+            if basis[i] >= n and row[n] > 0 and max(row[:n]) <= 0:
+                return None
 
     if any(tableau[i][n] != 0 for i in range(m) if basis[i] >= n):
         return None

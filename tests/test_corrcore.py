@@ -21,7 +21,7 @@ from syncgames import (
     pair_weights,
     serialize,
 )
-from syncgames.corrcore import DeterministicPair, WeightsNotNormalizedError
+from syncgames.corrcore import DeterministicPair, WeightsNotNormalizedError, _parse_json
 
 
 def test_as_rational_accepts_int_fraction_string():
@@ -175,6 +175,18 @@ def test_shape_mismatch():
     Y = finite_set(["0"])
     with pytest.raises(ShapeMismatchError):
         make_correlation(X, Y, [[1, 1]])
+    ragged = [["1", "0", "0", "0"], ["0", "1", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    with pytest.raises(ShapeMismatchError, match="row 1 has 3"):
+        make_correlation(X, X, ragged)
+    with pytest.raises(ShapeMismatchError, match="expected 4 rows"):
+        make_correlation(X, X, ragged[:1] + ragged[2:])
+
+
+def test_rows_may_be_iterators():
+    rows = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    B = finite_set(["0", "1"])
+    assert make_correlation(B, B, [iter(row) for row in rows]) == identity(B)
+    assert make_correlation(B, B, iter(rows)) == identity(B)
 
 
 def test_identity_matrix_structure():
@@ -235,6 +247,22 @@ def test_deserialize_unreadable_json_is_parse_error(text):
     with pytest.raises(ParseError) as info:
         deserialize(text)
     assert info.value.location == "<json>"
+
+
+@pytest.mark.parametrize(
+    "text, location, message",
+    [
+        ("{not json", "in.json:1:2", "Expecting property name enclosed in double quotes"),
+        ("[" * 100_000, "in.json", "JSON nested too deeply"),
+        (b"\xff{}", "in.json", "can't decode byte 0xff"),
+    ],
+    ids=["syntax", "deep", "not-utf-8"],
+)
+def test_json_failures_are_parse_errors_at_the_given_location(text, location, message):
+    with pytest.raises(ParseError) as info:
+        _parse_json(text, "in.json")
+    assert info.value.location == location
+    assert message in str(info.value)
 
 
 def test_deserialize_bad_rational_is_parse_error():

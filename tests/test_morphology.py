@@ -43,7 +43,7 @@ from syncgames import (
     witness_to_json_dict,
 )
 from syncgames import morphology
-from syncgames.corrcore import ZERO, common_denominator
+from syncgames.corrcore import ZERO, Correlation, common_denominator
 from syncgames.errors import (
     NotARetractionError,
     NotASectionError,
@@ -249,6 +249,26 @@ def rational_matrices(draw):
     return matrix
 
 
+def test_eliminations_leave_their_inputs_as_they_are():
+    # The first pivot, a 1 over den 1, takes the in-place path.
+    rows = [[1, 2, 0], [1, 3, 1], [2, 4, 0]]
+    before = [list(row) for row in rows]
+    reduced, pivots, den = morphology._rref(rows)
+    assert (reduced, pivots, den) == ([[1, 0, -2], [0, 1, 1]], [0, 1], 1)
+    assert rows == before
+    assert morphology._right_nullspace([1, 1, 1], rows) == morphology._right_nullspace(
+        [1, 1, 1], before
+    )
+    assert morphology._left_nullspace(rows) == morphology._left_nullspace(before)
+    assert rows == before
+    for p in (CONST_ZERO, HALF_DIAGONAL, CYCLIC, UNIFORM, SIGNALING):
+        lcms, columns = p.lcms, [list(column) for column in p.columns]
+        right_nullspace_basis(p)
+        left_nullspace_basis(p)
+        assert (p.lcms, [list(column) for column in p.columns]) == (lcms, columns)
+        assert p.columns == Correlation(p.input_set, p.output_set, p.matrix).columns
+
+
 def check_both_nullspaces(matrix):
     height, width = len(matrix), len(matrix[0])
     # Each column over its own lcm, as a Correlation keeps its columns.
@@ -385,6 +405,17 @@ def test_a_q_or_hv_witness_without_models_is_rejected():
         )
         with pytest.raises(AssertionError, match="must carry a classical model"):
             morphology._verify_witness(HALF_DIAGONAL, bare)
+
+
+def test_a_witness_member_outside_its_category_is_rejected():
+    # CONST_ZERO sends every correlation to itself, so the compositions agree:
+    # only the signaling member keeps the pair out of NS.
+    kernel = right_nullspace_basis(CONST_ZERO)[0]
+    pair = morphology.WitnessPair("mono", "S", SIGNALING, identity(B), kernel)
+    morphology._verify_witness(CONST_ZERO, pair)
+    pair = morphology.WitnessPair("mono", "NS", SIGNALING, identity(B), kernel)
+    with pytest.raises(AssertionError, match="witness must lie in NS"):
+        morphology._verify_witness(CONST_ZERO, pair)
 
 
 def test_mono_witness_spec_pair_is_valid():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from syncgames import category, constructors, finite_set, simplex
 from syncgames.boole import triple_inequalities
 from syncgames.corrcore import PairWeights
-from syncgames.simplex import SparseColumns, _presolve, find_nonnegative_combination
+from syncgames.simplex import SparseColumns, _pivot, _presolve, find_nonnegative_combination
 
 
 def _sparse(dense):
@@ -268,6 +268,44 @@ def systems(draw):
     else:
         target = [draw(_ENTRIES) for _ in range(m)]
     return columns, target
+
+
+def full_update(rows, k, col, den):
+    """Reference: every row but ``k`` as ``(piv * row - f * rows[k]) // den``."""
+    pivot_row, piv = rows[k], rows[k][col]
+    updated = []
+    for i, row in enumerate(rows):
+        if i == k:
+            updated.append(list(row))
+            continue
+        numerators = [piv * a - row[col] * p for a, p in zip(row, pivot_row)]
+        assert all(v % den == 0 for v in numerators), "Bareiss division must be exact"
+        updated.append([v // den for v in numerators])
+    return updated
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pivot_is_the_full_bareiss_update(data):
+    # A chain of pivots from den = 1, each on any nonzero entry: a basis
+    # exchange, as the simplex takes, or a new row, as the nullspaces take.
+    # Half the steps pivot on an entry equal to den when there is one, so
+    # both paths run, with negative pivots and denominators among them.
+    height, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    row = st.lists(st.integers(-4, 4), min_size=width, max_size=width)
+    rows = data.draw(st.lists(row, min_size=height, max_size=height))
+    den = 1
+    for _ in range(data.draw(st.integers(1, 6))):
+        nonzero = [(i, j) for i, r in enumerate(rows) for j, v in enumerate(r) if v]
+        if not nonzero:
+            break
+        unit = [(i, j) for i, j in nonzero if rows[i][j] == den]
+        k, col = data.draw(st.sampled_from(unit if unit and data.draw(st.booleans()) else nonzero))
+        expected = full_update(rows, k, col, den)
+        piv = rows[k][col]
+        assert _pivot(rows, k, col, den) == piv
+        assert rows == expected
+        den = piv
 
 
 @settings(max_examples=300, deadline=None)
