@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Optional
 
 from .constructors import ClassicalModel, enumerate_functions
-from .corrcore import ZERO, Correlation, DeterministicPair
+from .corrcore import Correlation, DeterministicPair
 from .errors import NotSynchronousError, SetMismatchError
 from .simplex import SparseColumns, find_nonnegative_combination
 
@@ -35,22 +34,16 @@ def compose(q: Correlation, p: Correlation) -> Correlation:
             f"cannot compose: outer input set {q.input_set.labels!r} differs from "
             f"inner output set {p.output_set.labels!r}"
         )
-    # Integer dot products of both operands' kept columns, q's brought over
-    # the lcm of its column lcms; then one Fraction per entry.
+    # Column c of q . p is q's integer matrix, over dq, the lcm of q's
+    # column lcms, times p's column c over its lcm: integer dot products
+    # over dq * p.lcms[c], in any terms.
     dq = lcm(*q.lcms)
     scales = [dq // e for e in q.lcms]
-    q_rows = [
-        [(k, v * s) for k, (v, s) in enumerate(zip(row, scales)) if v] for row in zip(*q.columns)
-    ]
-    p_cols = list(zip(p.lcms, p.columns))
-    matrix = []
-    for nonzero in q_rows:
-        out_row = []
-        for dp, col in p_cols:
-            dot = sum(v * col[k] for k, v in nonzero)
-            out_row.append(Fraction(dot, dq * dp) if dot else ZERO)
-        matrix.append(tuple(out_row))
-    return Correlation(p.input_set, q.output_set, tuple(matrix))
+    q_rows = [list(map(mul, row, scales)) for row in zip(*q.columns)]
+    columns = [[sum(map(mul, row, column)) for row in q_rows] for column in p.columns]
+    return Correlation._from_columns(
+        p.input_set, q.output_set, [dq * e for e in p.lcms], columns
+    )
 
 
 def is_synchronous(p: Correlation) -> bool:
@@ -167,24 +160,31 @@ def _strategies(nx: int, ny: int) -> tuple[tuple[tuple[int, ...], ...], SparseCo
     return functions, SparseColumns(columns)
 
 
-def classical_decomposition(p: Correlation) -> Optional[ClassicalModel]:
+def classical_decomposition(p) -> Optional[ClassicalModel]:
     """An exact measure on shared strategies reproducing ``p``, or None.
 
     Solves the feasibility problem over all ``|Y| ** |X|`` deterministic
     strategy columns with an exact phase-one simplex, so every
     non-classical input, asymmetric and signaling ones included, yields
-    None.  ``p`` must be synchronous.  Every mixture of shared functions
-    is symmetric and nonsignaling, so ``morphology.Analysis``, which
-    already knows whether ``p`` is both, skips the call when it is not.
-    The caller can re-expand the returned model to confirm it.
+    None.  ``p`` must be synchronous, else :class:`NotSynchronousError`.
+    Every mixture of shared functions is symmetric and nonsignaling, so
+    ``morphology.Analysis``, which already knows whether ``p`` is both,
+    skips the call when it is not.  ``p`` may be a correlation or its
+    ``morphology.analyze(p)``, whose kept synchronicity is then read
+    instead of decided again.  The caller can re-expand the returned model
+    to confirm it.
 
     The LP's target is ``D * p`` in integers, with ``D`` the lcm of the
     column lcms, flattened row-major; its solution is ``D`` times the
     measure.  A positive scale of the target changes no reduced-cost sign
     and no ratio order, so the pivots and the vertex are those of ``p``.
     """
-    if not is_synchronous(p):
+    import syncgames.morphology as morphology  # see classify
+
+    a = morphology.analyze(p)
+    if not a.synchronous:
         raise NotSynchronousError("classical decompositions exist only for synchronous inputs")
+    p = a.p
     functions, columns = _strategies(p.input_set.size, p.output_set.size)
     d = lcm(*p.lcms)
     scales = [d // e for e in p.lcms]
@@ -192,10 +192,16 @@ def classical_decomposition(p: Correlation) -> Optional[ClassicalModel]:
     solution = find_nonnegative_combination(columns, target)
     if solution is None:
         return None
-    weights = [
-        (f, Fraction(x.numerator, x.denominator * d)) for f, x in zip(functions, solution) if x
-    ]
-    return ClassicalModel(p.input_set, p.output_set, weights)
+    # The measure is x / d; the x are brought over the lcm e of theirs.
+    support = [(f, x) for f, x in zip(functions, solution) if x]
+    e = lcm(*(x.denominator for _, x in support))
+    return ClassicalModel._from_integers(
+        p.input_set,
+        p.output_set,
+        tuple(f for f, _ in support),
+        [x.numerator * (e // x.denominator) for _, x in support],
+        e * d,
+    )
 
 
 @dataclass(frozen=True, slots=True)

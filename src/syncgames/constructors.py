@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .boole import intersections_to_atoms, pairwise_intersection_vector
@@ -34,6 +35,7 @@ from .corrcore import (
     FiniteSet,
     PairDistribution,
     PairWeights,
+    _point_masses,
     as_rational,
     common_denominator,
     format_rational,
@@ -79,13 +81,9 @@ def from_function_indices(
     m = output_set.size
     if len(f) != n or any(not 0 <= v < m for v in f):
         raise ShapeMismatchError(f"need {n} output indices below {m}, got {f!r}")
-    rows = output_set.pair_count
-    cols = input_set.pair_count
-    matrix = [[ZERO] * cols for _ in range(rows)]
-    for i in range(n):
-        for j in range(n):
-            matrix[output_set.pair_index(f[i], f[j])][input_set.pair_index(i, j)] = ONE
-    return make_correlation(input_set, output_set, matrix)
+    return _point_masses(
+        input_set, output_set, [output_set.pair_index(f[i], f[j]) for i, j in input_set.pairs()]
+    )
 
 
 def from_function(
@@ -108,15 +106,12 @@ def from_function(
 
 def from_deterministic_pair(pair: DeterministicPair) -> Correlation:
     """Correlation of two individual answer tables; may signal."""
-    input_set = pair.input_set
     output_set = pair.output_set
-    rows = output_set.pair_count
-    cols = input_set.pair_count
-    matrix = [[ZERO] * cols for _ in range(rows)]
-    for i, j in input_set.pairs():
-        ya, yb = pair.image_pair(i, j)
-        matrix[output_set.pair_index(ya, yb)][input_set.pair_index(i, j)] = ONE
-    return make_correlation(input_set, output_set, matrix)
+    return _point_masses(
+        pair.input_set,
+        output_set,
+        [output_set.pair_index(*pair.image_pair(i, j)) for i, j in pair.input_set.pairs()],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +167,22 @@ class ClassicalModel:
         if sum(numerators) != denominator:
             total = Fraction(sum(numerators), denominator)
             raise WeightsNotNormalizedError(f"weights sum to {total}, expected 1")
+        self._set(input_set, output_set, functions, numerators, denominator)
+
+    @classmethod
+    def _from_integers(cls, input_set, output_set, functions, numerators, denominator):
+        """The model with weight ``numerators[k] / denominator`` on ``functions[k]``.
+
+        Unchecked: the caller's functions are valid, sorted and distinct,
+        and its numerators positive with sum ``denominator``.  Only the
+        weights are brought to lowest terms, with one gcd.
+        """
+        g = math.gcd(denominator, *numerators)
+        model = cls.__new__(cls)
+        model._set(input_set, output_set, functions, [k // g for k in numerators], denominator // g)
+        return model
+
+    def _set(self, input_set, output_set, functions, numerators, denominator) -> None:
         object.__setattr__(self, "input_set", input_set)
         object.__setattr__(self, "output_set", output_set)
         object.__setattr__(self, "functions", functions)
@@ -207,15 +218,14 @@ def from_classical_model(model: ClassicalModel) -> Correlation:
     """
     input_set = model.input_set
     output_set = model.output_set
-    rows = output_set.pair_count
-    cols = input_set.pair_count
-    matrix = [[0] * cols for _ in range(rows)]
+    ny = output_set.size
+    pairs = list(input_set.pairs())
+    columns = [[0] * output_set.pair_count for _ in pairs]
     for f, k in zip(model.functions, model.numerators):
-        for i, j in input_set.pairs():
-            matrix[output_set.pair_index(f[i], f[j])][input_set.pair_index(i, j)] += k
-    d = model.denominator
-    return make_correlation(
-        input_set, output_set, [[Fraction(k, d) if k else ZERO for k in row] for row in matrix]
+        for column, (i, j) in zip(columns, pairs):
+            column[f[i] * ny + f[j]] += k
+    return Correlation._from_columns(
+        input_set, output_set, [model.denominator] * len(columns), columns
     )
 
 
@@ -382,24 +392,29 @@ def from_quantum_model(model: QuantumModel) -> Correlation:
     ``p(y_a, y_b | x_a, x_b) = trace(P[x_a][y_a] P[x_b][y_b]) / dimension``.
     The model is validated exactly first.  For Hermitian ``A`` and ``B``,
     ``trace(A B)`` is the real number ``sum of A[i][j] * conj(B[i][j])``,
-    one integer dot product of the parts of each projection.  The output
-    is synchronous, symmetric and nonsignaling.
+    one integer dot product of the parts of each projection.  With each
+    family's parts brought over the lcm ``D[x]`` of its denominators,
+    column ``(x_a, x_b)`` is over ``D[x_a] * D[x_b] * dimension``.  The
+    output is synchronous, symmetric and nonsignaling.
     """
-    families = _integer_projections(model)
+    scales, families = [], []
+    for family in _integer_projections(model):
+        d = math.lcm(*(den for den, _ in family))
+        scales.append(d)
+        families.append([[v * (d // den) for v in parts] for den, parts in family])
     input_set = model.input_set
     output_set = model.output_set
-    matrix = [[ZERO] * input_set.pair_count for _ in range(output_set.pair_count)]
-    for xa, xb in input_set.pairs():
-        c = input_set.pair_index(xa, xb)
-        for ya, yb in output_set.pairs():
-            den_a, parts_a = families[xa][ya]
-            den_b, parts_b = families[xb][yb]
-            trace = sum(a * b for a, b in zip(parts_a, parts_b))
-            if trace:
-                matrix[output_set.pair_index(ya, yb)][c] = Fraction(
-                    trace, den_a * den_b * model.dimension
-                )
-    return Correlation(input_set, output_set, tuple(tuple(row) for row in matrix))
+    pairs = list(output_set.pairs())
+    columns = [
+        [sum(map(mul, families[xa][ya], families[xb][yb])) for ya, yb in pairs]
+        for xa, xb in input_set.pairs()
+    ]
+    return Correlation._from_columns(
+        input_set,
+        output_set,
+        [scales[xa] * scales[xb] * model.dimension for xa, xb in input_set.pairs()],
+        columns,
+    )
 
 
 def quantum_model_to_json_dict(model: QuantumModel) -> dict:
@@ -481,16 +496,17 @@ def _blocks_to_correlation(
 ) -> Correlation:
     """Assemble a correlation whose column ``(i, j)`` is ``blocks[i, j]``.
 
-    Each block is an ``|Y| x |Y|`` matrix over output pairs.
+    Each block is an ``|Y| x |Y|`` matrix of Fractions over output pairs,
+    one for every input pair.
     """
-    rows = output_set.pair_count
-    cols = input_set.pair_count
-    matrix = [[ZERO] * cols for _ in range(rows)]
-    for (i, j), block in blocks.items():
-        c = input_set.pair_index(i, j)
-        for ya, yb in output_set.pairs():
-            matrix[output_set.pair_index(ya, yb)][c] = block[ya][yb]
-    return make_correlation(input_set, output_set, matrix)
+    pairs = list(output_set.pairs())
+    scales, columns = [], []
+    for i, j in input_set.pairs():
+        block = blocks[i, j]
+        d, numerators = common_denominator([block[ya][yb] for ya, yb in pairs])
+        scales.append(d)
+        columns.append(numerators)
+    return Correlation._from_columns(input_set, output_set, scales, columns)
 
 
 def two_input_nonsignaling(u: PairDistribution, v: PairDistribution) -> Correlation:
@@ -692,7 +708,7 @@ def _random_pair_distribution(base: FiniteSet, rng: random.Random) -> PairDistri
 def _relabel(p: Correlation, input_set: FiniteSet, output_set: FiniteSet) -> Correlation:
     if input_set.size != p.input_set.size or output_set.size != p.output_set.size:
         raise ShapeMismatchError("relabeling must preserve set sizes")
-    return Correlation(input_set, output_set, p.matrix)
+    return Correlation._from_columns(input_set, output_set, p.lcms, p.columns)
 
 
 def _random_two_input_ns(

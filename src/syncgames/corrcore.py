@@ -10,10 +10,12 @@ players' symbols paired A-major:
     row    = index(y_a) * |Y| + index(y_b)
     column = index(x_a) * |X| + index(x_b)
 
-Every value in this module is immutable, every entry is a
-:class:`fractions.Fraction`, equality is bit-exact, and the JSON
-serialization round-trips losslessly including label order.  Floating
-point never appears.
+Every value in this module is immutable and exact.  A correlation is held
+as integers, each column's numerators over that column's lcm in lowest
+terms, which is canonical, so equality is bit-exact; its
+:class:`fractions.Fraction` entries are a view built on first read.  The
+JSON serialization round-trips losslessly including label order, and is
+read straight into those integers.  Floating point never appears.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -44,6 +46,27 @@ ONE = Fraction(1)
 _RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+def _rational_parts(value) -> tuple[int, int]:
+    """``(numerator, denominator)`` of :func:`as_rational`'s value, not reduced.
+
+    The denominator is positive.  Raises as :func:`as_rational` does.
+    """
+    if isinstance(value, str):
+        match = _RATIONAL_TEXT.fullmatch(value)
+        if match is None:
+            raise ValueError(f"{value!r} is not a rational of the form n or n/d")
+        numerator, denominator = match.groups()
+        n, d = int(numerator), int(denominator or 1)
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        return n, d
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    return value, 1
+
+
 def as_rational(value) -> Fraction:
     """Coerce an int, Fraction or ``"n"``/``"n/d"`` string to a Fraction.
 
@@ -53,15 +76,7 @@ def as_rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        match = _RATIONAL_TEXT.fullmatch(value)
-        if match is None:
-            raise ValueError(f"{value!r} is not a rational of the form n or n/d")
-        numerator, denominator = match.groups()
-        return Fraction(int(numerator), int(denominator or 1))
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"cannot interpret {value!r} as an exact rational")
-    return Fraction(value)
+    return Fraction(*_rational_parts(value))
 
 
 def parse_rational(value, location: str) -> Fraction:
@@ -75,8 +90,8 @@ def parse_rational(value, location: str) -> Fraction:
 def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """``(d, [v * d for v in values])`` with ``d`` the lcm of the denominators.
 
-    The exact kernels clear denominators with this, compute in ``int``s and
-    build a ``Fraction`` only for each result entry.
+    Exact kernels whose inputs are Fractions clear them with this and
+    compute in ``int``s.
     """
     d = math.lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
@@ -156,69 +171,111 @@ def parse_labels(value, location: str) -> FiniteSet:
         raise ParseError(location, str(exc)) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Correlation:
     """A column-stochastic matrix of exact rationals over squared index sets.
 
     Construction validates the shape, nonnegativity of every entry and that
     each column sums to exactly one, so any held instance is a genuine
     correlation.  Prefer :func:`make_correlation` when starting from raw
-    nested sequences.
+    nested sequences; ``Correlation(input_set, output_set, matrix)`` takes
+    rows of Fractions.
 
-    The column-sum check clears each column over its own lcm, and the
-    instance keeps the result: ``lcms[c]`` is that lcm and ``columns[c]``
-    the integer numerators of column ``c`` over it, so that
-    ``matrix[r][c] == columns[c][r] / lcms[c]``.  The exact kernels read
-    these instead of clearing the matrix again.  Both are derived from
-    ``matrix``, so equality, hashing and ``repr`` ignore them.
+    The instance holds integers: ``lcms[c]`` is the lcm of the denominators
+    of column ``c`` and ``columns[c]`` its numerators over that lcm, so that
+    ``matrix[r][c] == columns[c][r] / lcms[c]``.  This form is canonical, so
+    equality and hashing compare the two sets and these integers, and mean
+    what equal matrices mean.  The exact kernels compute on them, and build
+    their results from integers too.  ``matrix`` is a view of Fractions,
+    built on its first read and then kept; ``repr`` shows it.
     """
 
     input_set: FiniteSet
     output_set: FiniteSet
-    matrix: tuple[tuple[Fraction, ...], ...]
-    lcms: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    lcms: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows = self.output_set.pair_count
-        cols = self.input_set.pair_count
-        if len(self.matrix) != rows:
-            raise ShapeMismatchError(
-                f"expected {rows} rows for output set of size {self.output_set.size}, "
-                f"got {len(self.matrix)}"
-            )
-        for r, row in enumerate(self.matrix):
-            if len(row) != cols:
-                raise ShapeMismatchError(
-                    f"expected {cols} columns for input set of size {self.input_set.size}, "
-                    f"row {r} has {len(row)}"
-                )
-        lcms, columns = [], []
-        for c, column in enumerate(zip(*self.matrix)):
-            for r, value in enumerate(column):
+    def __init__(self, input_set: FiniteSet, output_set: FiniteSet, matrix) -> None:
+        rows = [tuple(row) for row in matrix]
+        for r, row in enumerate(rows):
+            for c, value in enumerate(row):
                 if not isinstance(value, Fraction):
                     raise TypeError(f"entry at ({r}, {c}) is {value!r}, not a Fraction")
-                if value.numerator < 0:
-                    raise NegativeEntryError(r, c, value)
-            d, numerators = common_denominator(column)
-            if sum(numerators) != d:
-                raise ColumnSumNotOneError(c, Fraction(sum(numerators), d))
-            lcms.append(d)
-            columns.append(tuple(numerators))
+        self._validate(input_set, output_set, *_columns_of_rows(input_set, output_set, rows))
+
+    @classmethod
+    def _from_columns(cls, input_set, output_set, scales, columns) -> Correlation:
+        """The correlation whose column ``c`` is ``columns[c] / scales[c]``.
+
+        ``scales`` are positive ints and ``columns`` sequences of ints, in
+        any terms; every constructor ends here.
+        """
+        p = cls.__new__(cls)
+        p._validate(input_set, output_set, scales, columns)
+        return p
+
+    def _validate(self, input_set, output_set, scales, columns) -> None:
+        """Check the shape, nonnegativity and ``sum == scale`` of each column,
+        reduce it once to lowest terms, and set the fields."""
+        rows = output_set.pair_count
+        if len(columns) != input_set.pair_count or set(map(len, columns)) != {rows}:
+            raise ShapeMismatchError(
+                f"expected {input_set.pair_count} columns of {rows} entries for set sizes "
+                f"{input_set.size} -> {output_set.size}"
+            )
+        lcms, kept = [], []
+        for c, (scale, column) in enumerate(zip(scales, columns)):
+            if min(column) < 0:
+                r = next(r for r, v in enumerate(column) if v < 0)
+                raise NegativeEntryError(r, c, Fraction(column[r], scale))
+            total = sum(column)
+            if total != scale:
+                raise ColumnSumNotOneError(c, Fraction(total, scale))
+            # The lowest common denominator is scale / gcd(scale, *column),
+            # and scale is the column's sum.
+            g = math.gcd(*column)
+            if g != 1:
+                scale //= g
+                column = [v // g for v in column]
+            lcms.append(scale)
+            kept.append(tuple(column))
+        object.__setattr__(self, "input_set", input_set)
+        object.__setattr__(self, "output_set", output_set)
         object.__setattr__(self, "lcms", tuple(lcms))
-        object.__setattr__(self, "columns", tuple(columns))
+        object.__setattr__(self, "columns", tuple(kept))
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as rows of Fractions, built on the first read."""
+        # Kept by object.__setattr__, not written into __dict__ as by
+        # cached_property: on Python 3.11 touching __dict__ slows every later
+        # attribute read of the instance, and the class predicates make many.
+        try:
+            return self._matrix
+        except AttributeError:
+            columns = [self.column(c) for c in range(len(self.columns))]
+            object.__setattr__(self, "_matrix", tuple(zip(*columns)))
+            return self._matrix
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(input_set={self.input_set!r}, "
+            f"output_set={self.output_set!r}, matrix={self.matrix!r})"
+        )
 
     def entry(self, y_a: str, y_b: str, x_a: str, x_b: str) -> Fraction:
         """``p(y_a, y_b | x_a, x_b)`` looked up by labels."""
-        r = self.output_set.pair_index(self.output_set.index(y_a), self.output_set.index(y_b))
-        c = self.input_set.pair_index(self.input_set.index(x_a), self.input_set.index(x_b))
-        return self.matrix[r][c]
+        ys, xs = self.output_set, self.input_set
+        return self.entry_by_index(ys.index(y_a), ys.index(y_b), xs.index(x_a), xs.index(x_b))
 
     def entry_by_index(self, ya: int, yb: int, xa: int, xb: int) -> Fraction:
-        return self.matrix[self.output_set.pair_index(ya, yb)][self.input_set.pair_index(xa, xb)]
+        c = self.input_set.pair_index(xa, xb)
+        n = self.columns[c][self.output_set.pair_index(ya, yb)]
+        return Fraction(n, self.lcms[c]) if n else ZERO
 
     def column(self, c: int) -> tuple[Fraction, ...]:
-        return tuple(row[c] for row in self.matrix)
+        d = self.lcms[c]
+        return tuple(Fraction(n, d) if n else ZERO for n in self.columns[c])
 
     @property
     def row_count(self) -> int:
@@ -229,25 +286,63 @@ class Correlation:
         return self.input_set.pair_count
 
 
+def _columns_of_rows(input_set: FiniteSet, output_set: FiniteSet, entries) -> tuple[list, list]:
+    """``(scales, columns)`` of :func:`make_correlation`'s ``entries``.
+
+    Reads every value, checks that there are ``|Y|^2`` rows of ``|X|^2``
+    values, and brings each column over the lcm of its denominators.
+    """
+    rows = [[_rational_parts(v) for v in row] for row in entries]
+    row_count = output_set.pair_count
+    column_count = input_set.pair_count
+    if len(rows) != row_count:
+        raise ShapeMismatchError(
+            f"expected {row_count} rows for output set of size {output_set.size}, "
+            f"got {len(rows)}"
+        )
+    for r, row in enumerate(rows):
+        if len(row) != column_count:
+            raise ShapeMismatchError(
+                f"expected {column_count} columns for input set of size {input_set.size}, "
+                f"row {r} has {len(row)}"
+            )
+    scales, columns = [], []
+    for column in zip(*rows):
+        numerators, denominators = zip(*column)
+        d = math.lcm(*denominators)
+        scales.append(d)
+        columns.append(numerators if d == 1 else [n * (d // e) for n, e in column])
+    return scales, columns
+
+
 def make_correlation(input_set: FiniteSet, output_set: FiniteSet, entries) -> Correlation:
     """Build a :class:`Correlation` from nested entry values.
 
     ``entries`` is an iterable of ``|Y|^2`` rows, each an iterable of
-    ``|X|^2`` values: ints, Fractions or rational strings.  Raises :class:`ShapeMismatchError`,
-    :class:`NegativeEntryError` or :class:`ColumnSumNotOneError` when the
-    data is not a correlation.
+    ``|X|^2`` values: ints, Fractions or rational strings.  Every value is
+    read first (as :func:`as_rational` reads it, raising what it raises),
+    then the data is checked: :class:`ShapeMismatchError`,
+    :class:`NegativeEntryError` or :class:`ColumnSumNotOneError` when it is
+    not a correlation.
     """
-    matrix = tuple(tuple(as_rational(v) for v in row) for row in entries)
-    return Correlation(input_set, output_set, matrix)
+    return Correlation._from_columns(
+        input_set, output_set, *_columns_of_rows(input_set, output_set, entries)
+    )
+
+
+def _point_masses(input_set: FiniteSet, output_set: FiniteSet, targets) -> Correlation:
+    """The correlation answering input pair ``c`` with output pair ``targets[c]``."""
+    columns = []
+    for r in targets:
+        column = [0] * output_set.pair_count
+        column[r] = 1
+        columns.append(column)
+    return Correlation._from_columns(input_set, output_set, [1] * len(columns), columns)
 
 
 def identity(base_set: FiniteSet) -> Correlation:
     """The identity correlation on ``base_set``: answers echo the questions."""
-    n2 = base_set.pair_count
-    matrix = tuple(
-        tuple(ONE if r == c else ZERO for c in range(n2)) for r in range(n2)
-    )
-    return Correlation(base_set, base_set, matrix)
+    return _point_masses(base_set, base_set, range(base_set.pair_count))
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +500,26 @@ class DeterministicPair:
 # ---------------------------------------------------------------------------
 
 
+def _column_texts(d: int, column: Sequence[int]) -> list[str]:
+    """:func:`format_rational` of each ``n / d``, from the integers."""
+    if d == 1:
+        return [str(n) for n in column]
+    texts = []
+    for n in column:
+        if n:
+            g = math.gcd(n, d)
+            texts.append(str(n // g) if g == d else f"{n // g}/{d // g}")
+        else:
+            texts.append("0")
+    return texts
+
+
 def to_json_dict(p: Correlation) -> dict:
+    columns = [_column_texts(d, column) for d, column in zip(p.lcms, p.columns)]
     return {
         "input_set": list(p.input_set.labels),
         "output_set": list(p.output_set.labels),
-        "entries": [[format_rational(v) for v in row] for row in p.matrix],
+        "entries": [list(row) for row in zip(*columns)],
     }
 
 
@@ -426,11 +536,14 @@ def from_json_dict(data: Mapping) -> Correlation:
     entries = data.get("entries")
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise ParseError("entries", "expected a list of lists of rational strings")
-    parsed_rows = [
-        [parse_rational(cell, f"entries[{r}][{c}]") for c, cell in enumerate(row)]
-        for r, row in enumerate(entries)
-    ]
-    return make_correlation(input_set, output_set, parsed_rows)
+    try:
+        return make_correlation(input_set, output_set, entries)
+    except (ValueError, ZeroDivisionError, TypeError):
+        # Only reading a cell raises these: locate the first cell that fails.
+        for r, row in enumerate(entries):
+            for c, cell in enumerate(row):
+                parse_rational(cell, f"entries[{r}][{c}]")
+        raise
 
 
 def _parse_json(text: str | bytes, location: str):

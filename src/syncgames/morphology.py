@@ -151,7 +151,7 @@ class Analysis:
 
     @_fact
     def classical(self) -> Optional[ClassicalModel]:
-        return classical_decomposition(self.p) if is_member(self, CategoryTag.Q) else None
+        return classical_decomposition(self) if is_member(self, CategoryTag.Q) else None
 
     @_fact
     def deterministic(self) -> Optional[DeterministicPair]:

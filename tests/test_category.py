@@ -338,17 +338,12 @@ def test_classify_clears_no_column_of_a_built_correlation(monkeypatch):
     inputs = [odd_cycle, CYCLIC, SIGNALING, UNIFORM, identity(T), HALF_DIAGONAL]
     callers = _count_calls(monkeypatch, corrcore.common_denominator)
     make_correlation(B, B, [["1/4"] * 4] * 4)
-    assert callers == ["syncgames.corrcore"] * 4, "construction clears each column once"
-    callers.clear()
+    assert callers == [], "rational text is read straight into integer columns"
     labels = [classify(p) for p in inputs]
     assert [label.classical is not None for label in labels] == [False] * 4 + [True] * 2
     assert labels[0].symmetric and labels[0].nonsignaling
-    # The predicates and the LP read the kept columns; the only call left
-    # clears the weights of each returned model.
-    assert callers == ["syncgames.constructors"] * 2
-    callers.clear()
-    for p in inputs[:4]:
-        classify(p)
+    # The predicates and the LP read the kept columns, and each returned
+    # model is built from the LP's integers.
     assert callers == []
 
 
@@ -377,9 +372,8 @@ def test_classify_computes_each_class_fact_once(monkeypatch):
         assert counts["is_nonsignaling"] == counts["is_symmetric"] == 1
         assert counts["is_deterministic"] == 1
         assert counts["classical_decomposition"] == solved
-        # The second call, if any, is classical_decomposition's own
-        # NotSynchronousError precondition.
-        assert 1 <= counts["is_synchronous"] <= 1 + solved
+        # classical_decomposition reads the analysis' synchronicity.
+        assert counts["is_synchronous"] == 1
         assert not any(
             r is p or isinstance(r, morphology.Analysis) for r in gc.get_referents(label)
         )

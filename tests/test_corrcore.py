@@ -1,6 +1,10 @@
+import json
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncgames import (
     ColumnSumNotOneError,
@@ -15,12 +19,15 @@ from syncgames import (
     deserialize,
     finite_set,
     format_rational,
+    from_json_dict,
     identity,
     make_correlation,
     pair_distribution,
     pair_weights,
     serialize,
+    to_json_dict,
 )
+from syncgames import cli
 from syncgames.corrcore import DeterministicPair, WeightsNotNormalizedError, _parse_json
 
 
@@ -140,17 +147,30 @@ def test_a_correlation_keeps_its_integer_columns():
         assert [F(v, d) for v in nums] == list(p.column(c))
 
 
-def test_kept_columns_stay_out_of_equality_hash_and_repr():
+def test_equality_hash_and_repr_follow_the_canonical_integer_columns():
     X = finite_set(["0"])
     Y = finite_set(["0", "1"])
     p = make_correlation(X, Y, [["1/2"], ["1/2"], ["0"], ["0"]])
     q = make_correlation(X, Y, [["2/4"], [F(1, 2)], [0], ["0"]])
-    object.__setattr__(q, "lcms", ("other",))
-    object.__setattr__(q, "columns", ())
-    assert p == q and hash(p) == hash(q)
-    assert repr(p) == repr(q)
-    assert "lcms" not in repr(p) and "columns" not in repr(p)
+    over_six = Correlation._from_columns(X, Y, [6], [[3, 3, 0, 0]])
+    for other in (q, over_six):
+        assert (other.lcms, other.columns) == (p.lcms, p.columns) == ((2,), ((1, 1, 0, 0),))
+        assert other == p and hash(other) == hash(p) and repr(other) == repr(p)
+    half, zero = F(1, 2), F(0)
+    assert repr(p) == (
+        f"Correlation(input_set={X!r}, output_set={Y!r}, "
+        f"matrix={((half,), (half,), (zero,), (zero,))!r})"
+    )
     assert p != make_correlation(X, Y, [["1/2"], ["0"], ["1/2"], ["0"]])
+    assert p != make_correlation(X, finite_set(["1", "0"]), [["1/2"], ["1/2"], ["0"], ["0"]])
+
+
+def test_the_fraction_view_is_built_once_from_the_integers():
+    p = deserialize(serialize(identity(finite_set(["0", "1"]))))
+    view = p.matrix
+    assert view is p.matrix
+    assert view == tuple(tuple(F(int(r == c)) for c in range(4)) for r in range(4))
+    assert all(type(v) is F for row in view for v in row)
 
 
 def test_column_sum_error_names_a_later_column():
@@ -331,3 +351,131 @@ def test_set_equality_is_order_sensitive():
     p = identity(finite_set(["a", "b"]))
     q = identity(finite_set(["b", "a"]))
     assert p != q
+
+
+def _with_cell(r, c, value):
+    data = to_json_dict(identity(finite_set(["0", "1"])))
+    data["entries"][r][c] = value
+    return data
+
+
+def _short_row():
+    data = to_json_dict(identity(finite_set(["0", "1"])))
+    data["entries"][2] = data["entries"][2][:3]
+    return data
+
+
+# Each failure as it was when every entry was parsed to a Fraction first:
+# the exception, its location, its message and the CLI's exit code.
+PARSE_FAILURES = {
+    "zero-denominator": (_with_cell(1, 2, "1/0"), ParseError, "entries[1][2]", "Fraction(1, 0)", 2),
+    "decimal": (
+        _with_cell(1, 2, "1.5"),
+        ParseError,
+        "entries[1][2]",
+        "'1.5' is not a rational of the form n or n/d",
+        2,
+    ),
+    "float": (
+        _with_cell(1, 2, 0.5),
+        ParseError,
+        "entries[1][2]",
+        "cannot interpret 0.5 as an exact rational",
+        2,
+    ),
+    "bool": (
+        _with_cell(1, 2, True),
+        ParseError,
+        "entries[1][2]",
+        "cannot interpret True as an exact rational",
+        2,
+    ),
+    "nested-list": (
+        _with_cell(1, 2, ["0"]),
+        ParseError,
+        "entries[1][2]",
+        "cannot interpret ['0'] as an exact rational",
+        2,
+    ),
+    "negative": (
+        _with_cell(1, 2, "-1/2"),
+        NegativeEntryError,
+        None,
+        "negative entry -1/2 at row 1, column 2",
+        5,
+    ),
+    "short-row": (
+        _short_row(),
+        ShapeMismatchError,
+        None,
+        "expected 4 columns for input set of size 2, row 2 has 3",
+        4,
+    ),
+    "column-sum": (
+        _with_cell(0, 0, "1/2"),
+        ColumnSumNotOneError,
+        None,
+        "column 0 sums to 1/2, expected 1",
+        5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PARSE_FAILURES)
+def test_parse_failures_keep_their_error_and_cli_line(name, tmp_path, capsys):
+    data, error, location, message, code = PARSE_FAILURES[name]
+    text = json.dumps(data)
+    with pytest.raises(error) as info:
+        deserialize(text)
+    shown = message if location is None else f"{location}: {message}"
+    assert str(info.value) == shown
+    assert getattr(info.value, "location", None) == location
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert cli.main(["classify", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [json.dumps({"error": error.__name__, "message": shown})]
+
+
+def test_a_non_reduced_entry_parses_to_its_lowest_terms():
+    reduced = _with_cell(0, 0, "1/2")
+    reduced["entries"][1][0] = "1/2"
+    other = _with_cell(0, 0, "2/4")
+    other["entries"][1][0] = "6/12"
+    p, q = from_json_dict(reduced), from_json_dict(other)
+    assert p == q and repr(p) == repr(q) and serialize(p) == serialize(q)
+    assert (q.lcms[0], q.columns[0]) == (2, (1, 1, 0, 0))
+
+
+@st.composite
+def fraction_matrices(draw):
+    input_set = draw(st.sampled_from([finite_set(["0"]), finite_set(["0", "1"])]))
+    output_set = draw(st.sampled_from([finite_set(["0", "1"]), finite_set(["a", "b", "c"])]))
+    columns = []
+    for _ in range(input_set.pair_count):
+        column = [
+            F(draw(st.integers(0, 5)), draw(st.integers(1, 12)))
+            for _ in range(output_set.pair_count)
+        ]
+        total = sum(column, F(0))
+        if total == 0:
+            column[0] = total = F(1)
+        columns.append([v / total for v in column])
+    return input_set, output_set, tuple(zip(*columns))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_matrices())
+def test_serialize_round_trips_and_keeps_the_fraction_repr(drawn):
+    input_set, output_set, matrix = drawn
+    p = Correlation(input_set, output_set, matrix)
+    parsed = deserialize(serialize(p))
+    assert parsed == p and hash(parsed) == hash(p)
+    expected = (
+        f"Correlation(input_set={input_set!r}, output_set={output_set!r}, matrix={matrix!r})"
+    )
+    assert repr(parsed) == repr(p) == expected
+    for d, column, values in zip(parsed.lcms, parsed.columns, zip(*matrix)):
+        assert d == math.lcm(*(v.denominator for v in values))
+        assert [F(n, d) for n in column] == list(values)

@@ -11,7 +11,9 @@ from syncgames import (
     DeterministicPair,
     classical_decomposition,
     classical_model,
+    classify,
     compose,
+    deserialize,
     epi_witness,
     finite_set,
     from_classical_model,
@@ -38,11 +40,12 @@ from syncgames import (
     retraction_right_inverse,
     right_nullspace_basis,
     section_left_inverse,
+    serialize,
     two_input_nonsignaling,
     witness_from_json_dict,
     witness_to_json_dict,
 )
-from syncgames import morphology
+from syncgames import cli, morphology
 from syncgames.corrcore import ZERO, Correlation, common_denominator
 from syncgames.errors import (
     NotARetractionError,
@@ -790,3 +793,33 @@ def test_witness_json_rejects_bad_kernel_base_set():
     without = {k: v for k, v in data.items() if k != "kernel_base_set"}
     with pytest.raises(ParseError, match="kernel_base_set"):
         witness_from_json_dict(without)
+
+
+def test_parsed_correlations_are_decided_without_their_fraction_view(monkeypatch, tmp_path):
+    inputs = [CONST_ZERO, HALF_DIAGONAL, CYCLIC, SKEW_MIX, SIGNALING, UNIFORM]
+    texts = [serialize(p) for p in inputs]
+
+    def unread(p):
+        raise AssertionError("the Fraction view of a correlation was read")
+
+    monkeypatch.setattr(Correlation, "matrix", property(unread))
+    witnesses = 0
+    for text in texts:
+        p = deserialize(text)
+        classify(p)
+        assert compose(identity(p.output_set), p) == p == compose(p, identity(p.input_set))
+        assert serialize(p) == text
+        for tag in ALL_TAGS:
+            if is_member(p, tag):
+                for build in (mono_witness, epi_witness):
+                    witness = build(p, tag)
+                    if witness is not None:
+                        witnesses += 1
+                        witness_to_json_dict(witness)
+    assert witnesses == 30
+    # The CLI on files: parse, classify with every witness, compose.
+    path = tmp_path / "const.json"
+    path.write_text(texts[0] + "\n")
+    argv = ["classify", str(path), "--emit-witnesses", str(tmp_path / "w")]
+    assert cli.main(argv) == 0
+    assert cli.main(["compose", str(path), str(path), "--out", str(tmp_path / "c.json")]) == 0
