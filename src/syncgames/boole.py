@@ -13,17 +13,30 @@ Two coordinate systems are used for a vector of length ``2**n``:
 
 The change of basis in either direction factors into ``n`` single-bit
 passes, so it costs ``O(n * 2**n)`` and no ``2**n x 2**n`` matrix is ever
-materialized.  Everything is exact: the passes run on the integer
-numerators over one common denominator.
+materialized.  Everything is exact: a vector is held as integer
+numerators over one common denominator in lowest terms, the passes add
+and subtract whole slices of those integers, and the ``Fraction`` entries
+are a view built on first read.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .corrcore import ONE, ZERO, PairWeights, as_rational, common_denominator, format_rational
+from .corrcore import (
+    ONE,
+    ZERO,
+    PairWeights,
+    _over_lcm,
+    _rational_parts,
+    as_rational,
+    common_denominator,
+    format_rational,
+)
 from .errors import (
     NotNormalizedAtEmptySetError,
     NotSymmetricError,
@@ -37,7 +50,22 @@ ATOMS = "atoms"
 INTERSECTIONS = "intersections"
 
 
-@dataclass(frozen=True)
+def _fraction_view(vector) -> tuple[Fraction, ...]:
+    """The numerators of ``vector`` over its denominator as Fractions.
+
+    Built on the first read and kept through ``object.__setattr__``, as
+    :attr:`Correlation.matrix <syncgames.corrcore.Correlation.matrix>` is.
+    """
+    try:
+        return vector._entries
+    except AttributeError:
+        d = vector.denominator
+        entries = tuple(Fraction(v, d) if v else ZERO for v in vector.numerators)
+        object.__setattr__(vector, "_entries", entries)
+        return entries
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class BooleVector:
     """A length ``2**n`` vector of exact rationals in one of two bases.
 
@@ -45,54 +73,90 @@ class BooleVector:
     ``intersections`` vectors are validated to be nonnegative with
     ``w_0 = 1``; internal consistency (equivalently, nonnegativity of the
     reconstructed atoms) is what :func:`intersections_to_atoms` decides.
+
+    ``BooleVector(n, interpretation, entries)`` takes Fractions.  The
+    instance holds integers: entry ``j`` is ``numerators[j] / denominator``,
+    with the denominator the lcm of the entries' denominators, so the form
+    is canonical and equality and hashing compare it.  ``entries`` is a
+    view of Fractions, built on its first read and then kept.
     """
 
     n: int
     interpretation: str
-    entries: tuple[Fraction, ...]
+    denominator: int
+    numerators: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, interpretation: str, entries: Sequence[Fraction]) -> None:
+        self._validate(n, interpretation, *common_denominator(entries))
+
+    @classmethod
+    def _from_integers(cls, n, interpretation, denominator, numerators) -> BooleVector:
+        """The vector with entries ``numerators[j] / denominator``.
+
+        ``denominator`` is a positive int and ``numerators`` a sequence of
+        ints, in any terms; every constructor ends here.
+        """
+        v = cls.__new__(cls)
+        v._validate(n, interpretation, denominator, numerators)
+        return v
+
+    def _validate(self, n, interpretation, d, numerators) -> None:
+        """Check the length, then the interpretation's conditions on the
+        integers, reduce them once to lowest terms, and set the fields."""
+        if n < 0:
             raise ShapeMismatchError("n must be nonnegative")
         # Bit lengths first: 2**n for an absurd n would exhaust memory.
-        length = len(self.entries)
-        if length.bit_length() != self.n + 1 or length != 1 << self.n:
-            raise ShapeMismatchError(
-                f"need 2**{self.n} entries for n = {self.n}, got {length}"
-            )
-        if self.interpretation == ATOMS:
-            j = _first_negative(self.entries)
-            if j is not None:
+        length = len(numerators)
+        if length.bit_length() != n + 1 or length != 1 << n:
+            raise ShapeMismatchError(f"need 2**{n} entries for n = {n}, got {length}")
+        if interpretation == ATOMS:
+            if min(numerators) < 0:
+                j = next(j for j, v in enumerate(numerators) if v < 0)
                 raise WeightsNotNormalizedError(
-                    f"atom {j} has negative mass {self.entries[j]}"
+                    f"atom {j} has negative mass {Fraction(numerators[j], d)}"
                 )
-            d, numerators = common_denominator(self.entries)
             total = sum(numerators)
             if total != d:
-                raise WeightsNotNormalizedError(
-                    f"atoms sum to {Fraction(total, d)}, expected 1"
-                )
-        elif self.interpretation == INTERSECTIONS:
-            if self.entries[0] != ONE:
+                raise WeightsNotNormalizedError(f"atoms sum to {Fraction(total, d)}, expected 1")
+        elif interpretation == INTERSECTIONS:
+            if numerators[0] != d:
                 raise NotNormalizedAtEmptySetError(
-                    f"empty intersection has probability {self.entries[0]}, expected 1"
+                    f"empty intersection has probability {Fraction(numerators[0], d)}, "
+                    "expected 1"
                 )
-            j = _first_negative(self.entries)
-            if j is not None:
+            if min(numerators) < 0:
+                j = next(j for j, v in enumerate(numerators) if v < 0)
                 raise OutOfRangeError(
-                    f"intersection {j} has negative probability {self.entries[j]}"
+                    f"intersection {j} has negative probability {Fraction(numerators[j], d)}"
                 )
         else:
-            raise ValueError(f"unknown interpretation {self.interpretation!r}")
+            raise ValueError(f"unknown interpretation {interpretation!r}")
+        g = math.gcd(d, *numerators)
+        if g != 1:
+            d //= g
+            numerators = [v // g for v in numerators]
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "interpretation", interpretation)
+        object.__setattr__(self, "denominator", d)
+        object.__setattr__(self, "numerators", tuple(numerators))
 
+    entries = property(_fraction_view, doc="The entries as Fractions, built on the first read.")
 
-def _first_negative(values: Sequence[Fraction]) -> Optional[int]:
-    """Index of the first negative value: the denominators are positive."""
-    return next((j for j, v in enumerate(values) if v.numerator < 0), None)
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(n={self.n!r}, "
+            f"interpretation={self.interpretation!r}, entries={self.entries!r})"
+        )
 
 
 def boole_vector(n: int, interpretation: str, entries: Sequence) -> BooleVector:
-    return BooleVector(n, interpretation, tuple(as_rational(v) for v in entries))
+    """Build a :class:`BooleVector` from ints, Fractions or rational strings.
+
+    Every value is read first, as :func:`as_rational` reads it, raising what
+    it raises; then the vector is checked.
+    """
+    parts = [_rational_parts(v) for v in entries]
+    return BooleVector._from_integers(n, interpretation, *_over_lcm(parts))
 
 
 def measure_to_atoms(mu: Mapping[tuple[int, ...], object], n: int) -> BooleVector:
@@ -103,42 +167,52 @@ def measure_to_atoms(mu: Mapping[tuple[int, ...], object], n: int) -> BooleVecto
     :class:`WeightsNotNormalizedError` when the weights are negative
     anywhere or do not sum to one.
     """
-    entries = [ZERO] * (1 << n)
-    total = ZERO
+    numerators = [0] * (1 << n)
+    indices, parts = [], []
     for key, raw in mu.items():
         if len(key) != n or any(bit not in (0, 1) for bit in key):
             raise ShapeMismatchError(f"key {key!r} is not a length-{n} binary tuple")
-        weight = as_rational(raw)
-        if weight < 0:
-            raise WeightsNotNormalizedError(f"weight of {key!r} is negative: {weight}")
+        weight = _rational_parts(raw)
+        if weight[0] < 0:
+            raise WeightsNotNormalizedError(
+                f"weight of {key!r} is negative: {Fraction(*weight)}"
+            )
         j = 0
         for k, bit in enumerate(key):
             j |= bit << k
-        entries[j] += weight
-        total += weight
-    if total != ONE:
-        raise WeightsNotNormalizedError(f"measure sums to {total}, expected 1")
-    return BooleVector(n, ATOMS, tuple(entries))
+        indices.append(j)
+        parts.append(weight)
+    d, cleared = _over_lcm(parts)
+    for j, v in zip(indices, cleared):
+        numerators[j] += v
+    total = sum(cleared)
+    if total != d:
+        raise WeightsNotNormalizedError(f"measure sums to {Fraction(total, d)}, expected 1")
+    return BooleVector._from_integers(n, ATOMS, d, numerators)
 
 
-def _passes(v: BooleVector, sign: int) -> tuple[int, list[int]]:
-    """``(d, numerators)`` of ``v`` after one pass per event.
+def _passes(n: int, numerators: Sequence[int], sign: int) -> list[int]:
+    """A copy of ``numerators`` after one pass per event.
 
-    Each pass adds ``sign`` times entry ``j + 2**l`` to entry ``j`` for
-    every ``j`` without bit ``l``; it runs on the numerators over the common
-    denominator ``d``.
+    Pass ``l`` adds ``sign`` times entry ``j + 2**l`` to entry ``j`` for
+    every ``j`` without bit ``l``.  Those ``j`` form ``2**l`` strided slices
+    (one per offset below ``2**l``) or ``2**(n-l-1)`` contiguous slices (one
+    per block of ``2**(l+1)``); each pass takes whichever are fewer, and
+    updates each slice with one ``map`` of ``+`` or ``-``.
     """
-    d, values = common_denominator(v.entries)
-    for l in range(v.n):
+    values = list(numerators)
+    size = len(values)
+    op = operator.add if sign > 0 else operator.sub
+    for l in range(n):
         bit = 1 << l
-        for start in range(0, len(values), 2 * bit):
-            for j in range(start, start + bit):
-                values[j] += sign * values[j + bit]
-    return d, values
-
-
-def _fractions(d: int, numerators: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v, d) if v else ZERO for v in numerators)
+        step = bit << 1
+        if bit <= size // step:
+            for j in range(bit):
+                values[j:size:step] = map(op, values[j:size:step], values[j + bit:size:step])
+        else:
+            for j in range(0, size, step):
+                values[j:j + bit] = map(op, values[j:j + bit], values[j + bit:j + step])
+    return values
 
 
 def atoms_to_intersections(p: BooleVector) -> BooleVector:
@@ -149,31 +223,42 @@ def atoms_to_intersections(p: BooleVector) -> BooleVector:
     """
     if p.interpretation != ATOMS:
         raise ValueError("expected an atoms vector")
-    d, values = _passes(p, 1)
-    return BooleVector(p.n, INTERSECTIONS, _fractions(d, values))
+    return BooleVector._from_integers(
+        p.n, INTERSECTIONS, p.denominator, _passes(p.n, p.numerators, 1)
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class AtomReconstruction:
     """Outcome of inverting an intersection vector.
 
-    ``entries`` always holds the unique signed solution.  When every entry
-    is nonnegative the vector is a genuine distribution, ``feasible`` is
-    true and :meth:`atoms` wraps it; otherwise ``negative_indices`` is the
-    certificate of infeasibility.
+    ``numerators`` over ``denominator`` always holds the unique signed
+    solution, in lowest terms, and ``entries`` is its view as Fractions,
+    built on the first read.  When every entry is nonnegative the vector is
+    a genuine distribution, ``feasible`` is true and :meth:`atoms` wraps
+    it; otherwise ``negative_indices`` is the certificate of infeasibility.
     """
 
     n: int
-    entries: tuple[Fraction, ...]
+    denominator: int
+    numerators: tuple[int, ...]
     feasible: bool
     negative_indices: tuple[int, ...]
+
+    entries = property(_fraction_view, doc="The entries as Fractions, built on the first read.")
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(n={self.n!r}, entries={self.entries!r}, "
+            f"feasible={self.feasible!r}, negative_indices={self.negative_indices!r})"
+        )
 
     def atoms(self) -> BooleVector:
         if not self.feasible:
             raise WeightsNotNormalizedError(
                 f"reconstruction is infeasible at atoms {list(self.negative_indices)}"
             )
-        return BooleVector(self.n, ATOMS, self.entries)
+        return BooleVector._from_integers(self.n, ATOMS, self.denominator, self.numerators)
 
 
 def intersections_to_atoms(w: BooleVector) -> AtomReconstruction:
@@ -181,13 +266,15 @@ def intersections_to_atoms(w: BooleVector) -> AtomReconstruction:
 
     The inverse also factors into one alternating-difference pass per
     event.  The result certifies infeasibility by listing every atom whose
-    reconstructed mass is negative.
+    reconstructed mass is negative.  Both changes of basis are integer
+    matrices with integer inverses, so the atoms of ``w``, over its
+    denominator, are in lowest terms as ``w`` is.
     """
     if w.interpretation != INTERSECTIONS:
         raise ValueError("expected an intersections vector")
-    d, values = _passes(w, -1)
-    negative = tuple(j for j, v in enumerate(values) if v < 0)
-    return AtomReconstruction(w.n, _fractions(d, values), not negative, negative)
+    values = _passes(w.n, w.numerators, -1)
+    negative = tuple(j for j, v in enumerate(values) if v < 0) if min(values) < 0 else ()
+    return AtomReconstruction(w.n, w.denominator, tuple(values), not negative, negative)
 
 
 def pair_bounds(a, b) -> tuple[Fraction, Fraction]:
@@ -217,13 +304,13 @@ def pairwise_intersection_vector(w: PairWeights) -> BooleVector:
     if not w.is_symmetric():
         raise NotSymmetricError("pairwise weights must be symmetric")
     n = w.base_set.size
-    entries = [ZERO] * (1 << n)
-    entries[0] = ONE
+    d, cleared = common_denominator([v for row in w.matrix for v in row])
+    numerators = [0] * (1 << n)
+    numerators[0] = d
     for l in range(n):
-        entries[1 << l] = w.matrix[l][l]
-        for m in range(l + 1, n):
-            entries[(1 << l) | (1 << m)] = w.matrix[l][m]
-    return BooleVector(n, INTERSECTIONS, tuple(entries))
+        for m in range(l, n):
+            numerators[(1 << l) | (1 << m)] = cleared[l * n + m]
+    return BooleVector._from_integers(n, INTERSECTIONS, d, numerators)
 
 
 # ---------------------------------------------------------------------------

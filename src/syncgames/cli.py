@@ -29,6 +29,7 @@ from .boole import (
     INTERSECTIONS,
     BooleVector,
     atoms_to_intersections,
+    boole_vector,
     intersections_to_atoms,
     pair_bounds,
     triple_bounds,
@@ -56,6 +57,7 @@ from .corrcore import (
     FiniteSet,
     PairDistribution,
     PairWeights,
+    _column_texts,
     _parse_json,
     deserialize,
     format_rational,
@@ -172,15 +174,20 @@ def _load_boole_vector(path: str) -> BooleVector:
     raw = data.get("entries")
     if not isinstance(raw, list):
         raise ParseError("entries", "expected a list")
-    entries = tuple(parse_rational(cell, f"entries[{j}]") for j, cell in enumerate(raw))
-    return BooleVector(n, interpretation, entries)
+    try:
+        return boole_vector(n, interpretation, raw)
+    except (ValueError, ZeroDivisionError, TypeError):
+        # Only reading a cell raises these: locate the first cell that fails.
+        for j, cell in enumerate(raw):
+            parse_rational(cell, f"entries[{j}]")
+        raise
 
 
 def _boole_vector_json(vec: BooleVector) -> dict:
     return {
         "n": vec.n,
         "interpretation": vec.interpretation,
-        "entries": [format_rational(v) for v in vec.entries],
+        "entries": _column_texts(vec.denominator, vec.numerators),
     }
 
 
@@ -507,7 +514,7 @@ def _cmd_boole_transform(args) -> int:
     reconstruction = intersections_to_atoms(vec)
     payload = {
         "n": reconstruction.n,
-        "entries": [format_rational(v) for v in reconstruction.entries],
+        "entries": _column_texts(reconstruction.denominator, reconstruction.numerators),
         "feasible": reconstruction.feasible,
         "negative_indices": list(reconstruction.negative_indices),
     }
@@ -528,7 +535,7 @@ def _cmd_boole_reconstruct(args) -> int:
     if reconstruction.feasible:
         payload["atoms"] = _boole_vector_json(reconstruction.atoms())
     else:
-        payload["entries"] = [format_rational(v) for v in reconstruction.entries]
+        payload["entries"] = _column_texts(reconstruction.denominator, reconstruction.numerators)
     _write_output(args.out, _dump(payload))
     return 0
 

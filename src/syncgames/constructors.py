@@ -622,11 +622,16 @@ def two_output_classical(w: PairWeights) -> tuple[ClassicalModel, Correlation]:
     reconstruction = intersections_to_atoms(pairwise_intersection_vector(w))
     if not reconstruction.feasible:
         raise AssertionError("reconstruction must be feasible under the hypotheses")
-    mu: dict[tuple[int, ...], Fraction] = {}
-    for j, mass in enumerate(reconstruction.entries):
-        if mass != 0:
-            mu[tuple((j >> k) & 1 for k in range(n))] = mass
-    model = classical_model(base, BINARY, mu)
+    # Atom j is the function sending x_k to bit k of j.  The atoms are
+    # nonnegative and sum to the denominator, because w_0 = 1.
+    functions, numerators = zip(*sorted(
+        (tuple((j >> k) & 1 for k in range(n)), mass)
+        for j, mass in enumerate(reconstruction.numerators)
+        if mass
+    ))
+    model = ClassicalModel._from_integers(
+        base, BINARY, functions, numerators, reconstruction.denominator
+    )
     return model, from_classical_model(model)
 
 

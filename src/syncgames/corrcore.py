@@ -25,6 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -95,6 +96,15 @@ def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """
     d = math.lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _over_lcm(parts: Sequence[tuple[int, int]]) -> tuple[int, Sequence[int]]:
+    """``(d, numerators)`` of :func:`_rational_parts` pairs over the lcm ``d``
+    of their denominators."""
+    d = math.lcm(*map(itemgetter(1), parts))
+    if d == 1:
+        return d, [n for n, _ in parts]
+    return d, [n * (d // e) for n, e in parts]
 
 
 def format_rational(value: Fraction) -> str:
@@ -308,10 +318,9 @@ def _columns_of_rows(input_set: FiniteSet, output_set: FiniteSet, entries) -> tu
             )
     scales, columns = [], []
     for column in zip(*rows):
-        numerators, denominators = zip(*column)
-        d = math.lcm(*denominators)
+        d, numerators = _over_lcm(column)
         scales.append(d)
-        columns.append(numerators if d == 1 else [n * (d // e) for n, e in column])
+        columns.append(numerators)
     return scales, columns
 
 

@@ -27,7 +27,7 @@ correlation to share those facts between several questions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -133,6 +133,9 @@ class Analysis:
     mixture of shared functions is nonsignaling and symmetric.
     ``section`` and ``retraction`` are the inverses' answers read off the
     supports of ``p``'s columns (None if there is none), for every tag.
+    ``mono_classical`` and ``epi_classical`` are the verified ``Q``
+    witnesses (None if there is none); ``Q`` and ``HV`` build their
+    witnesses alike, so ``HV`` returns them relabelled.
     """
 
     p: Correlation
@@ -172,6 +175,14 @@ class Analysis:
     @_fact
     def left_kernel(self) -> list[KernelVector]:
         return left_nullspace_basis(self.p)
+
+    @_fact
+    def mono_classical(self) -> Optional[WitnessPair]:
+        return _mono_witness(self, CategoryTag.Q)
+
+    @_fact
+    def epi_classical(self) -> Optional[WitnessPair]:
+        return _epi_witness(self, CategoryTag.Q)
 
 
 def analyze(p) -> Analysis:
@@ -396,6 +407,19 @@ def mono_witness(p, cat) -> Optional[WitnessPair]:
     """
     a = analyze(p)
     tag = require_member(a, cat)
+    if tag in (CategoryTag.Q, CategoryTag.HV):
+        return _labelled(a.mono_classical, tag)
+    return _mono_witness(a, tag)
+
+
+def _labelled(witness: Optional[WitnessPair], tag: CategoryTag) -> Optional[WitnessPair]:
+    """``witness`` with its category set to ``tag``."""
+    if witness is None or witness.category == tag.value:
+        return witness
+    return replace(witness, category=tag.value)
+
+
+def _mono_witness(a: Analysis, tag: CategoryTag) -> Optional[WitnessPair]:
     p = a.p
     basis = a.right_kernel
     if not basis:
@@ -542,6 +566,12 @@ def epi_witness(p, cat) -> Optional[WitnessPair]:
     """
     a = analyze(p)
     tag = require_member(a, cat)
+    if tag in (CategoryTag.Q, CategoryTag.HV):
+        return _labelled(a.epi_classical, tag)
+    return _epi_witness(a, tag)
+
+
+def _epi_witness(a: Analysis, tag: CategoryTag) -> Optional[WitnessPair]:
     p = a.p
     basis = a.left_kernel
     if not basis:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -7,12 +8,16 @@ from hypothesis import strategies as st
 from syncgames import (
     ATOMS,
     INTERSECTIONS,
+    AtomReconstruction,
     BooleVector,
     NotNormalizedAtEmptySetError,
     OutOfRangeError,
     atoms_to_intersections,
     boole_vector,
+    classical_model,
+    epi_witness,
     finite_set,
+    from_classical_model,
     intersections_to_atoms,
     measure_to_atoms,
     pair_bounds,
@@ -21,6 +26,7 @@ from syncgames import (
     triple_bounds,
     triple_inequalities,
 )
+from syncgames import cli
 from syncgames.corrcore import ZERO
 from syncgames.errors import (
     NotSymmetricError,
@@ -478,3 +484,58 @@ def test_boole_vector_checks_raise_the_fraction_reference_error(interpretation, 
         assert (type(exc), str(exc)) == expected
     else:
         assert expected is None
+
+
+def test_boole_paths_never_read_the_fraction_view(monkeypatch, tmp_path):
+    def unread(vector):
+        raise AssertionError("the Fraction view of a Boole vector was read")
+
+    monkeypatch.setattr(BooleVector, "entries", property(unread))
+    monkeypatch.setattr(AtomReconstruction, "entries", property(unread))
+
+    def write(name, interpretation, entries):
+        path = tmp_path / name
+        path.write_text(json.dumps({"n": 2, "interpretation": interpretation, "entries": entries}))
+        return str(path)
+
+    def boole(*argv):
+        out = str(tmp_path / "out.json")
+        assert cli.main(["boole", *argv, "--out", out]) == 0
+        return json.loads(open(out).read())
+
+    atoms = write("atoms.json", ATOMS, ["2/8", "1/4", "0", "1/2"])
+    w = boole("transform", atoms, "--direction", "p2w")
+    assert w["entries"] == ["1", "3/4", "1/2", "1/2"]
+    mid = write("w.json", INTERSECTIONS, w["entries"])
+    back = boole("transform", mid, "--direction", "w2p")
+    assert back["entries"] == ["1/4", "1/4", "0", "1/2"] and back["feasible"]
+    assert boole("reconstruct", mid)["atoms"]["entries"] == back["entries"]
+    infeasible = write("bad.json", INTERSECTIONS, ["1", "3/4", "3/4", "1/4"])
+    assert boole("reconstruct", infeasible)["entries"] == ["-1/4", "1/2", "1/2", "1/4"]
+
+    p = measure_to_atoms({(0, 1): F(1, 3), (1, 1): "2/3"}, 2)
+    assert (p.denominator, p.numerators) == (3, (0, 0, 1, 2))
+    s2 = finite_set(["x0", "x1"])
+    v = pairwise_intersection_vector(pair_weights(s2, [["1/2", "1/4"], ["1/4", "1/2"]]))
+    assert (v.denominator, v.numerators) == (4, (4, 2, 2, 1))
+    # The HV epi witness of this input is built by two_output_classical.
+    half_diagonal = from_classical_model(
+        classical_model(s2, s2, {(0, 0): F(1, 2), (1, 1): F(1, 2)})
+    )
+    witness = epi_witness(half_diagonal, "HV")
+    assert from_classical_model(witness.model_plus) == witness.q_plus
+
+
+def test_the_integer_form_is_canonical_and_the_view_is_built_once():
+    v = boole_vector(2, ATOMS, ["2/8", "3/12", 0, F(1, 2)])
+    assert (v.denominator, v.numerators) == (4, (1, 1, 0, 2))
+    assert v == BooleVector(2, ATOMS, (F(1, 4), F(1, 4), ZERO, F(1, 2)))
+    assert hash(v) == hash(BooleVector(2, ATOMS, (F(1, 4), F(1, 4), ZERO, F(1, 2))))
+    assert v.entries is v.entries and v.entries[2] is ZERO
+    assert repr(v) == (
+        "BooleVector(n=2, interpretation='atoms', entries=(Fraction(1, 4), "
+        "Fraction(1, 4), Fraction(0, 1), Fraction(1, 2)))"
+    )
+    rec = intersections_to_atoms(atoms_to_intersections(v))
+    assert (rec.denominator, rec.numerators) == (4, (1, 1, 0, 2))
+    assert rec.atoms() == v

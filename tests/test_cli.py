@@ -934,6 +934,43 @@ def test_boole_vector_bad_interpretation(tmp_path, capsys):
     assert stderr_kind(err)["error"] == "ParseError"
 
 
+_BAD_CELLS = [
+    ("x", "'x' is not a rational of the form n or n/d"),
+    ("1/0", "Fraction(1, 0)"),
+    ("0.5", "'0.5' is not a rational of the form n or n/d"),
+    (" 1", "' 1' is not a rational of the form n or n/d"),
+    ("1e3", "'1e3' is not a rational of the form n or n/d"),
+    (0.5, "cannot interpret 0.5 as an exact rational"),
+    (True, "cannot interpret True as an exact rational"),
+    (None, "cannot interpret None as an exact rational"),
+    ([], "cannot interpret [] as an exact rational"),
+]
+
+
+@pytest.mark.parametrize("cell, message", _BAD_CELLS, ids=[repr(c) for c, _ in _BAD_CELLS])
+@pytest.mark.parametrize(
+    "argv, entries",
+    [
+        (["transform", "--direction", "p2w"], ["1/4", "1/4", "1/4", "1/4"]),
+        (["transform", "--direction", "w2p"], ["1", "1/2", "1/2", "1/4"]),
+        (["reconstruct"], ["1", "1/2", "1/2", "1/4"]),
+    ],
+    ids=["p2w", "w2p", "reconstruct"],
+)
+def test_boole_parse_failures_keep_their_cli_line(tmp_path, capsys, argv, entries, cell, message):
+    # Exit code 2 and one JSON line on stderr, naming the first failing
+    # cell and not the later bad one.
+    interpretation = "atoms" if "p2w" in argv else "intersections"
+    entries = entries[:2] + [cell, "y"]
+    path = write_json(
+        tmp_path, "v.json", {"n": 2, "interpretation": interpretation, "entries": entries}
+    )
+    code, out, err = run(capsys, "boole", argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ParseError", "message": f"entries[2]: {message}"}
+
+
 def test_boole_vector_absurd_length_is_shape_mismatch(tmp_path):
     # 2**n for this n needs more than 100 GB; the child runs under a 1 GiB
     # address-space limit so that building it fails fast instead of
@@ -1001,6 +1038,27 @@ def test_classify_emit_witnesses_solves_once(tmp_path, capsys, solver_calls):
         "right_nullspace_basis": 1,
         "left_nullspace_basis": 1,
     }
+
+
+def test_classify_emit_witnesses_builds_each_classical_witness_once(
+    tmp_path, capsys, monkeypatch
+):
+    model = ClassicalModel(
+        T, B, (((0, 0, 1), F(1, 2)), ((0, 1, 1), F(1, 4)), ((1, 0, 0), F(1, 4)))
+    )
+    path = write_correlation(tmp_path, "mix.json", from_classical_model(model))
+    counts = {}
+    for name in ("_mono_witness", "_epi_witness", "_verify_witness"):
+        counting(monkeypatch, morphology, name, counts)
+    wdir = tmp_path / "w"
+    code, out, _ = run(capsys, "classify", path, "--emit-witnesses", str(wdir))
+    assert code == 0
+    assert sorted(json.loads(out)["witnesses"]) == ["mono_HV", "mono_NS", "mono_Q", "mono_S"]
+    # S, NS and one for Q and HV together, on each side; only mono finds one.
+    assert counts == {"_mono_witness": 3, "_epi_witness": 3, "_verify_witness": 3}
+    q, hv = (json.loads((wdir / f"mono_{tag}.json").read_text()) for tag in ("Q", "HV"))
+    assert (q.pop("category"), hv.pop("category")) == ("Q", "HV")
+    assert q == hv
 
 
 def half_section():

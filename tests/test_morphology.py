@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from syncgames import (
     CategoryTag,
     DeterministicPair,
+    analyze,
     classical_decomposition,
     classical_model,
     classify,
@@ -823,3 +825,21 @@ def test_parsed_correlations_are_decided_without_their_fraction_view(monkeypatch
     argv = ["classify", str(path), "--emit-witnesses", str(tmp_path / "w")]
     assert cli.main(argv) == 0
     assert cli.main(["compose", str(path), str(path), "--out", str(tmp_path / "c.json")]) == 0
+
+
+def test_q_and_hv_share_one_witness_per_side():
+    # Q and HV build alike: the HV witness is the Q witness relabelled,
+    # equal to one built for HV directly, and one analysis builds it once.
+    builders = (
+        (mono_witness, morphology._mono_witness),
+        (epi_witness, morphology._epi_witness),
+    )
+    for p in (CONST_ZERO, HALF_DIAGONAL, SKEW_MIX):
+        a = analyze(p)
+        for build, direct in builders:
+            q, hv = build(a, "Q"), build(a, "HV")
+            assert (q.category, hv.category) == ("Q", "HV")
+            assert hv == direct(analyze(p), CategoryTag.HV)
+            assert replace(q, category="HV") == hv
+            assert hv.q_plus is q.q_plus and hv.model_minus is q.model_minus
+            assert build(a, "Q") is q
